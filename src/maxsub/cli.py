@@ -16,7 +16,9 @@ Group spec grammar (no whitespace):
 factors' generator tuples, "lk" the congruence tower over the unique
 complemented abelian minimal normal subgroup, "hat" the orbit-census
 subdirect power.  Exit codes: 0 success, 1 violated invariant, 2 refusal
-on a stated resource limit.
+on a stated resource limit or a malformed spec, 3 internal error (any
+other exception, reported as "internal error: <Type>: <message>" on
+standard error).
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import __version__
 from .bounds import bound_mn, eta_kappa, markdown_bound_table
 from .bsgs import LimitExceeded
 from .catalog import builtin
 from .constructions import build_Lk, hat, subdirect, tuple_orbits
-from .group import direct_product, group_from_generators
+from .group import direct_product, group_from_generators, is_abelian
 from .invariants import profile
 from .perms import format_cycles, parse_cycles
 from .probgen import NuBracket, gen_prob, gen_prob_mc, nu
@@ -39,6 +42,7 @@ from .structure import RefusedComputation, minimal_normal_subgroups
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_REFUSED = 2
+EXIT_INTERNAL = 3
 
 
 class SpecError(ValueError):
@@ -127,19 +131,12 @@ def parse_spec(text, limits=None):
 
 
 def _tower_socle(L):
-    mins = [N for N in minimal_normal_subgroups(L)
-            if all((a * b) == (b * a)
-                   for i, a in enumerate(N.generators)
-                   for b in N.generators[i + 1:])]
+    mins = [N for N in minimal_normal_subgroups(L) if is_abelian(N)]
     if len(mins) != 1:
         raise SpecError(
             "lk: needs a unique abelian minimal normal subgroup "
             f"(found {len(mins)})")
     return mins[0]
-
-
-def print_spec(gs):
-    return gs.text
 
 
 # -- reports ---------------------------------------------------------------------
@@ -150,10 +147,8 @@ def _provenance(args):
         "seed": getattr(args, "seed", 0),
         "limits": {
             "lattice": getattr(args, "lattice_limit", 2000),
-            "degree": getattr(args, "degree_limit", 20000),
             "materialize_degree": getattr(args, "materialize_limit", 1024),
         },
-        "threads": getattr(args, "threads", 1),
     }
 
 
@@ -271,18 +266,13 @@ def build_parser():
         description="Maximal-subgroup invariants, crowns, and generation "
                     "probabilities for finite permutation groups")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker count for parallel merges (results are "
-                         "identical for every value)")
     ap.add_argument("--lattice-limit", type=int, default=2000)
-    ap.add_argument("--degree-limit", type=int, default=20000)
     ap.add_argument("--materialize-limit", type=int, default=1024,
                     help="degree cap for materializing hat constructions")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full invariant profile and bounds")
     p.add_argument("spec")
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--markdown", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 
@@ -290,7 +280,6 @@ def build_parser():
     p.add_argument("spec")
     p.add_argument("--indices", required=True,
                    help="comma separated list of indices n")
-    p.add_argument("--json", action="store_true", default=True)
     p.add_argument("--markdown", action="store_true")
     p.set_defaults(fn=cmd_bounds)
 
@@ -322,6 +311,10 @@ def main(argv=None):
     except SpecError as e:
         print(f"spec error: {e}", file=sys.stderr)
         return EXIT_REFUSED
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

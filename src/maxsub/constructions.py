@@ -19,7 +19,8 @@ import numpy as np
 
 from .bsgs import LimitExceeded, StabilizerChain
 from .group import (GroupHandle, coset_action, direct_product,
-                    group_from_generators, is_normal, normal_closure)
+                    group_from_generators, is_abelian, is_normal,
+                    normal_closure)
 from .lattice import DEFAULT_ORDER_LIMIT, maximal_subgroups, subgroup_classes
 from .modules import SectionSpace, intertwiner_space_dim, minimal_submodule
 from .perms import Permutation
@@ -51,10 +52,8 @@ class CrownedTower:
 def _check_tower_inputs(L, N):
     if not N.is_subgroup_of(L) or not is_normal(L, N):
         raise ValueError("N must be a normal subgroup of L")
-    for i, a in enumerate(N.generators):
-        for b in N.generators[i + 1:]:
-            if not (a * b) == (b * a):
-                raise ValueError("N must be abelian")
+    if not is_abelian(N):
+        raise ValueError("N must be abelian")
     from .simptable import prime_power_split
     split = prime_power_split(N.order)
     if split is None:

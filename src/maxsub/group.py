@@ -317,20 +317,11 @@ def derived_subgroup(G):
     return normal_closure(G, comms)
 
 
-def derived_series(G):
-    series = [G]
-    while True:
-        D = derived_subgroup(series[-1])
-        if D.order == series[-1].order:
-            break
-        series.append(D)
-        if D.order == 1:
-            break
-    return series
-
-
-def perfect_residual(G):
-    return derived_series(G)[-1]
+def is_abelian(G):
+    """Whether the generators of G commute pairwise."""
+    gens = G.generators
+    return all(a * b == b * a
+               for i, a in enumerate(gens) for b in gens[i + 1:])
 
 
 def centralizer(G, H, element_limit=20000):
@@ -412,10 +403,6 @@ class CosetAction:
         self.quotient = quotient
         self.map = epi
         self.kernel = kernel
-
-    def __iter__(self):  # allow tuple-unpacking (quotient, map)
-        yield self.quotient
-        yield self.map
 
 
 def coset_action(G, H, limit=DEFAULT_COSET_LIMIT):

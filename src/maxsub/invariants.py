@@ -16,8 +16,10 @@ import math
 import random
 
 from .bsgs import LimitExceeded, StabilizerChain
-from .group import derived_subgroup, direct_product, group_from_generators
+from .group import (derived_subgroup, direct_product, group_from_generators,
+                    is_abelian)
 from .lattice import DEFAULT_ORDER_LIMIT, m_n_map, subgroup_classes
+from .simptable import is_prime
 from .structure import (RefusedComputation, _has_diagonal_corefree_maximal,
                         chief_series, crowns, ensure_factor_flags,
                         g_isomorphic)
@@ -117,6 +119,9 @@ def min_generators(G, seed=0, element_budget=MIN_GEN_ELEMENT_BUDGET,
     expensive than the scan routes."""
     if G.order == 1:
         return MinGenResult(0, 0, 0, True)
+    if len(G.generators) == 2 and not is_abelian(G):
+        # two generators bound d from above, non-cyclic bounds it from below
+        return MinGenResult(2, 2, 2, True)
     if "lattice" in G._cache or G.order <= 600:
         if G.order <= lattice_limit:
             lat = subgroup_classes(G, lattice_limit)
@@ -153,10 +158,8 @@ def _cyclic_within_budget(G, budget):
     if G.order > budget:
         # a huge group is cyclic only if abelian, and an abelian group is
         # cyclic exactly when its exponent equals its order
-        for i, a in enumerate(G.generators):
-            for b in G.generators[i + 1:]:
-                if not (a * b) == (b * a):
-                    return False
+        if not is_abelian(G):
+            return False
         exponent = math.lcm(*[g.order() for g in G.generators]) \
             if G.generators else 1
         return exponent == G.order
@@ -251,10 +254,9 @@ def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT, with_lattice=True):
     for d in facs:
         if d.abelian:
             continue
-        if d.frattini is False:
-            label = d.simple_id if d.copies == 1 else f"{d.simple_id}^{d.copies}"
-            prof.rk_iso[label] = prof.rk_iso.get(label, 0) + 1
-        indices = _corefree_maximal_indices(G, d, lattice_limit, prof)
+        label = d.simple_id if d.copies == 1 else f"{d.simple_id}^{d.copies}"
+        prof.rk_iso[label] = prof.rk_iso.get(label, 0) + 1
+        indices = _corefree_maximal_indices(d, lattice_limit)
         for n in indices:
             prof.rks[n] = prof.rks.get(n, 0) + 1
         if d.order in indices:
@@ -274,9 +276,8 @@ def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT, with_lattice=True):
         prof.script_M = _script_m_from_map(prof.m_exact)
     else:
         prof.m_exact = _partial_m_exact(G, prof)
-        if prof.m_exact is not None and prof.m_exact:
-            prof.skipped["m_exact"] = \
-                "normal-count route only (no subgroup lattice at this order)"
+        prof.skipped["m_exact"] = \
+            "normal-count route only (no subgroup lattice at this order)"
         prof.skipped["script_M"] = "exact m_n map unavailable at this order"
         prof.min_index = _min_index_from_profile(prof)
         if prof.min_index is None:
@@ -295,14 +296,15 @@ def _crown_is_central(c):
     return True
 
 
-def _corefree_maximal_indices(G, d, lattice_limit, prof):
+def _corefree_maximal_indices(d, lattice_limit):
     """Indices of core-free maximal subgroups of the primitive group
-    attached to a non-abelian chief factor."""
+    attached to a non-abelian chief factor (refused above the lattice
+    limit: the bounds would read the missing rks as 0)."""
     P = d.factor_action.image_group(name="associated-primitive")
     if P.order > lattice_limit:
-        prof.skipped.setdefault(
-            "rks", f"primitive quotient of order {P.order} above lattice limit")
-        return []
+        raise RefusedComputation(
+            f"rks needs the subgroup lattice of a primitive quotient of "
+            f"order {P.order}, above the lattice limit {lattice_limit}")
     from .lattice import maximal_subgroups
     out = set()
     for rec in maximal_subgroups(P, lattice_limit):
@@ -345,7 +347,7 @@ def _partial_m_exact(G, prof):
     p prime, rks_p = 0, and every order-p crown is central."""
     out = {}
     for p in sorted(set(prof.ab) | set(prof.cr_ab)):
-        if not _is_prime(p):
+        if not is_prime(p):
             continue
         if prof.rks.get(p, 0):
             continue
@@ -357,17 +359,6 @@ def _partial_m_exact(G, prof):
         if k:
             out[p] = (p ** k - 1) // (p - 1)
     return out
-
-
-def _is_prime(k):
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _min_index_from_profile(prof):
@@ -384,7 +375,7 @@ def _partial_m_exact_product(G, profs, out):
     of the factor abelianizations add."""
     res = {}
     for p in sorted(set(out.ab)):
-        if not _is_prime(p):
+        if not is_prime(p):
             continue
         if out.rks.get(p, 0):
             continue
@@ -422,9 +413,6 @@ def _assemble_product_profile(G, seed, lattice_limit, with_lattice):
             out.rk_iso[lbl] = out.rk_iso.get(lbl, 0) + c
         for n, c in p.rks_rko_overlap.items():
             out.rks_rko_overlap[n] = out.rks_rko_overlap.get(n, 0) + c
-        for kk, v in p.skipped.items():
-            if kk in ("rks",):
-                out.skipped[kk] = v
     # cross-factor merging of abelian crowns: only central crowns of equal
     # order can be isomorphic across distinct direct factors (a noncentral
     # action has different kernels in different components)
@@ -447,34 +435,26 @@ def _assemble_product_profile(G, seed, lattice_limit, with_lattice):
     for n, lengths in merged.items():
         out.s[n] = len(lengths)
         out.rkm[n] = max(lengths)
-    # d: the handle's own generators bound d from above; non-cyclic => >= 2
+    # d: the handle's own generators bound d from above
     dgen = len(G.generators)
-    if dgen == 2 and not _handle_abelian(G):
-        out.d = 2
+    mg_vals = [p.d for p in profs if p.d is not None]
+    lower = max(mg_vals) if mg_vals else 1
+    if dgen <= lower:
+        out.d = lower
     else:
-        mg_vals = [p.d for p in profs if p.d is not None]
-        lower = max(mg_vals) if mg_vals else 1
-        if dgen <= lower:
-            out.d = lower
+        mg = min_generators(G, seed=seed, lattice_limit=lattice_limit)
+        if mg.certified:
+            out.d = mg.value
         else:
             out.d = None
-            out.skipped["d"] = (f"bracket [{lower}, {dgen}] "
+            out.skipped["d"] = (f"bracket [{max(lower, mg.lower)}, {dgen}] "
                                 "(product d not certified)")
     mins = [p.min_index for p in profs if p.min_index is not None]
     out.min_index = min(mins) if mins else None
     out.m_exact = _partial_m_exact_product(G, profs, out)
-    if out.m_exact:
-        out.skipped["m_exact"] = "normal-count route only (assembled profile)"
+    out.skipped["m_exact"] = "normal-count route only (assembled profile)"
     out.skipped["script_M"] = "exact m_n map unavailable (assembled profile)"
     return out
-
-
-def _handle_abelian(G):
-    for i, a in enumerate(G.generators):
-        for b in G.generators[i + 1:]:
-            if not (a * b) == (b * a):
-                return False
-    return True
 
 
 def _merge_nonabelian_crowns(factors, seed):

@@ -20,6 +20,7 @@ from math import prod
 import numpy as np
 
 from .bsgs import LimitExceeded
+from .simptable import is_prime, prime_factors
 from .tables import element_table, indices_of, mask_of
 
 DEFAULT_ORDER_LIMIT = 2000
@@ -135,9 +136,6 @@ class Lattice:
         raise RuntimeError(
             f"primitive quotient with {len(minimals)} minimal normal subgroups")
 
-    def normal_masks(self):
-        return [c.rep_mask for c in self.classes if c.normal]
-
     def minimal_normals_above(self, base_mask):
         """Normal subgroups N > base minimal with that property, as classes."""
         above = [c for c in self.classes
@@ -252,9 +250,7 @@ def _perfect_seed_scan(table):
     is generated by two elements, which the acceptance oracles re-check.
     """
     n = table.n
-    order = n
-    primes = _prime_factors(order)
-    if len(primes) < 3 or order < 60:
+    if len(prime_factors(n)) < 3 or n < 60:
         return {}
     out = {}
     reps = [r for r, _ in table.conjugacy_classes() if r != table.identity_index]
@@ -282,7 +278,7 @@ def _perfect_seed_scan(table):
                         covered[y] = True
                         orbit.append(y)
             sub = table.closure([a, b])
-            if len(sub) < 60 or not _prime_count_at_least(len(sub), 3):
+            if len(sub) < 60 or len(prime_factors(len(sub))) < 3:
                 continue
             mask = mask_of(sub, n)
             if mask in seen_pairs:
@@ -297,24 +293,6 @@ def _perfect_seed_scan(table):
             if min_mask not in out:
                 out[min_mask] = (masks, min_idx)
     return out
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _prime_count_at_least(n, k):
-    return len(_prime_factors(n)) >= k
 
 
 def _build_lattice(G):
@@ -377,7 +355,7 @@ def _build_lattice(G):
             while not (H_mask >> p) & 1:
                 p = int(mult[p, g])
                 k += 1
-            if not _is_prime(k):
+            if not is_prime(k):
                 continue
             # K = H u Hg u ... u Hg^(k-1)
             parts = [H_idx]
@@ -397,17 +375,6 @@ def _build_lattice(G):
     if out[-1].order != n:
         raise RuntimeError("lattice enumeration did not reach the whole group")
     return Lattice(G, table, out)
-
-
-def _is_prime(k):
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- public operations --------------------------------------------------------

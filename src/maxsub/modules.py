@@ -354,11 +354,6 @@ class SectionSpace:
             self._gen_mats = mats
         return self._gen_mats
 
-    def matrix_of(self, perm):
-        ginv = perm.inv()
-        rows = [self.to_vec(ginv * b * perm) for b in self.basis_lifts]
-        return np.array(rows, dtype=_VEC_DTYPE) % self.p
-
 
 # -- spinning and minimal submodules ------------------------------------------
 

@@ -19,6 +19,7 @@ from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
 from .structure import RefusedComputation
 
 BRUTE_TUPLE_BUDGET = 500_000
+MC_MEMO_BYTES = 16 * 2**20  # a tuple memo is kept only if every k-tuple fits
 Z99 = 2.5758293035489004   # two-sided 99% normal quantile
 
 
@@ -101,17 +102,40 @@ def gen_prob_mc(G, k, trials, seed, workers=4):
     hits = 0
     base = trials // workers
     extra = trials % workers
+    memo = _tuple_memo(G, k)
     for w in range(workers):
         share = base + (1 if w < extra else 0)
         rng = random.Random(seed * 1_000_003 + w * 7919 + 1)
         for _ in range(share):
             tup = [G.uniform_random(rng) for _ in range(k)]
-            if _tuple_generates(G, tup):
+            if memo is None:
+                ok = _tuple_generates(G, tup)
+            else:
+                key = tuple(p.images.tobytes() for p in tup)
+                ok = memo.get(key)
+                if ok is None:
+                    ok = memo[key] = _tuple_generates(G, tup)
+            if ok:
                 hits += 1
     p = hits / trials
     half = Z99 * math.sqrt(max(p * (1 - p), 1e-12) / trials)
     return GenProbResult(k, estimate=p, trials=trials, ci_halfwidth=half,
                          seed=seed)
+
+
+def _tuple_memo(G, k):
+    """Answers of `_tuple_generates` kept on the handle, or None.
+
+    Whether a tuple generates depends on the tuple alone.  A small group
+    draws the same tuples again and again; a large one almost never does,
+    so the memo is kept only when the answers for all |G|^k tuples fit in
+    MC_MEMO_BYTES (an entry is k arrays of 4-byte points plus about 100
+    bytes of key, tuple and dict overhead).
+    """
+    entry = k * (G.degree * 4 + 40) + 100
+    if G.order ** k * entry > MC_MEMO_BYTES:
+        return None
+    return G._cache.setdefault(("mc_generates", k), {})
 
 
 # -- the 1/e threshold ---------------------------------------------------------

@@ -22,24 +22,7 @@ _AMBIGUOUS_ORDER = 20160   # Alt(8) = PSL(4,2) vs PSL(3,4)
 
 
 def _prime_powers(limit):
-    out = []
-    for q in range(2, limit + 1):
-        n = q
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                while n % p == 0:
-                    n //= p
-                break
-            p += 1
-        base = p if n == 1 else n
-        # q is a prime power iff q is a power of its smallest prime factor
-        m = q
-        while m % base == 0:
-            m //= base
-        if m == 1:
-            out.append(q)
-    return out
+    return [q for q in range(2, limit + 1) if len(prime_factors(q)) == 1]
 
 
 @lru_cache(maxsize=None)
@@ -99,12 +82,30 @@ def simple_order_table(cap=DEFAULT_CAP):
     return merged
 
 
-def is_simple_order(n, cap=DEFAULT_CAP):
-    return n in simple_order_table(cap)
+def prime_factors(n):
+    """The distinct prime divisors of n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
-def simple_names(n, cap=DEFAULT_CAP):
-    return simple_order_table(cap).get(n, [])
+def is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def is_prime_power(n):

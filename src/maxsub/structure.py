@@ -27,12 +27,13 @@ import numpy as np
 
 from .bsgs import LimitExceeded, StabilizerChain, _compose
 from .group import (GroupHandle, coset_action, coset_canonical,
-                    group_from_generators, is_normal, kernel_of_action,
-                    normal_closure, stabilizer_of_action_point)
+                    group_from_generators, is_abelian, is_normal,
+                    kernel_of_action, normal_closure,
+                    stabilizer_of_action_point)
 from .modules import (ElementaryLayer, SectionSpace, intertwiner_space_dim,
                       minimal_submodule)
 from .perms import Permutation
-from .simptable import split_simple_power
+from .simptable import prime_factors, prime_power_split, split_simple_power
 from .tables import element_table
 
 ELEMENT_BUDGET = 40000
@@ -77,7 +78,7 @@ class ChiefFactorDescriptor:
         self.ambiguity_note = None
         self.centralizer = None
         self.frattini = None
-        self.complemented = None
+        self.complemented = None     # abelian factors only; None otherwise
         self.space = None            # SectionSpace for abelian factors
         self.factor_action = None    # FactorAction for non-abelian factors
         self.index_in_series = None
@@ -225,44 +226,18 @@ def _section_is_abelian(W, K):
 def _order_mod(K, w):
     """Order of the image of w in W/K (section need not be abelian)."""
     e = w.order()
-    for q in _prime_list(e):
+    for q in prime_factors(e):
         while e % q == 0 and K.contains(w ** (e // q)):
             e //= q
     return e
-
-
-def _prime_list(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _is_elementary_abelian_group(W, p):
     key = ("elab", p)
     got = W._cache.get(key)
     if got is None:
-        got = True
-        gens = W.generators
-        for g in gens:
-            if g.order() not in (1, p):
-                got = False
-                break
-        if got:
-            for i, a in enumerate(gens):
-                if not got:
-                    break
-                for b in gens[i + 1:]:
-                    if not (a * b == b * a):
-                        got = False
-                        break
+        got = (all(g.order() in (1, p) for g in W.generators)
+               and is_abelian(W))
         W._cache[key] = got
     return got
 
@@ -351,7 +326,7 @@ def _derived_over(G, N, W):
 def _abelian_chief_above(G, N, W, rng):
     exps = [_order_mod(N, w) for w in W.generators]
     exponent = lcm(*[e for e in exps if e > 1]) if any(e > 1 for e in exps) else 1
-    primes = _prime_list(exponent)
+    primes = prime_factors(exponent)
     p = primes[0] if len(primes) == 1 and exponent == primes[0] else None
     if p is None:
         # peel one elementary layer: (W/N)^(e/p) for the smallest prime
@@ -534,7 +509,6 @@ def describe_factor(G, H, K):
     d = ChiefFactorDescriptor(sec)
     d.abelian = _section_is_abelian(H, K)
     if d.abelian:
-        from .simptable import prime_power_split
         split = prime_power_split(d.order)
         if split is None:
             raise RuntimeError("abelian chief factor of non-prime-power order")
@@ -646,7 +620,6 @@ def complement_solution_count(G, H, K, budget=COMPLEMENT_TUPLE_BUDGET,
     sec_d.abelian = _section_is_abelian(H, K)
     if not sec_d.abelian:
         raise ValueError("complement counting is for abelian factors")
-    from .simptable import prime_power_split
     sec_d.prime, sec_d.dim = prime_power_split(sec_d.order)
     sec_d.space = SectionSpace(G, H, K, sec_d.prime, dim_cap=SECTION_DIM_CAP)
     lifts = _abelian_coset_lifts(sec_d)
@@ -727,66 +700,27 @@ def _orbit_supplement_search(G, H, K, lattice_cap=2000):
 
 def ensure_factor_flags(G, d, lattice_cap=2000,
                         direct_cap=DIRECT_COMPLEMENT_ORDER_CAP):
-    """Fill in complemented/frattini for a descriptor (may leave None with a
-    refusal note when budgets preclude a certificate)."""
-    if d.complemented is not None and d.frattini is not None:
+    """Fill in the Frattini flag of a descriptor, and the complement flag of
+    an abelian one.
+
+    A non-abelian chief factor H/K is never Frattini, because Phi(G/K) is
+    nilpotent (Doerk-Hawkes, Finite Soluble Groups, III.3).  An abelian one
+    is Frattini exactly when it has no complement; both abelian flags stay
+    None when budgets preclude a certificate."""
+    if d.frattini is not None:
+        return d
+    if not d.abelian:
+        d.frattini = False
         return d
     H, K = d.section.upper, d.section.lower
-    if d.abelian:
-        if G.order <= direct_cap:
-            cnt = complement_solution_count(G, H, K, early_exit=True)
-            d.complemented = cnt > 0
-        else:
-            found = _orbit_supplement_search(G, H, K, lattice_cap)
-            d.complemented = True if found else None
-        d.frattini = (not d.complemented) if d.complemented is not None else None
+    if G.order <= direct_cap:
+        cnt = complement_solution_count(G, H, K, early_exit=True)
+        d.complemented = cnt > 0
     else:
-        # complemented: the associated primitive group has a maximal
-        # subgroup complementing its socle
-        d.complemented = _nonabelian_complemented(G, d, lattice_cap)
-        d.frattini = _nonabelian_frattini(G, d, lattice_cap)
+        found = _orbit_supplement_search(G, H, K, lattice_cap)
+        d.complemented = True if found else None
+    d.frattini = (not d.complemented) if d.complemented is not None else None
     return d
-
-
-def _nonabelian_complemented(G, d, lattice_cap):
-    from .lattice import subgroup_classes
-    P = d.factor_action.image_group(name="primitive")
-    if P.order > lattice_cap:
-        return None
-    hgens = [Permutation(d.factor_action.array_of(h))
-             for h in d.section.upper.generators]
-    soc = P.subgroup(hgens)
-    lat = subgroup_classes(P, order_limit=lattice_cap)
-    table = lat.table
-    soc_idx = sorted({table.element_index(p) for p in soc.elements()})
-    from .tables import mask_of
-    soc_mask = mask_of(soc_idx, table.n)
-    n = soc.order
-    for cls in lat.maximal_classes():
-        if cls.order * n != P.order:
-            continue
-        for m in cls.conjugate_masks:
-            inter = m & soc_mask
-            if bin(inter).count("1") == 1:   # only the identity
-                return True
-    return False
-
-
-def _nonabelian_frattini(G, d, lattice_cap, coset_limit=20000):
-    """Frattini flag via a maximal supplement: H/K is non-Frattini iff some
-    maximal subgroup of G contains K but not H."""
-    H, K = d.section.upper, d.section.lower
-    index = G.order // K.order
-    if index <= coset_limit:
-        act = coset_action(G, K, limit=coset_limit)
-        Q = act.quotient
-        if Q.order <= lattice_cap:
-            from .lattice import frattini as frattini_of
-            phi = frattini_of(Q, order_limit=lattice_cap)
-            him = [act.map.apply(h) for h in H.generators]
-            return all(phi.contains(p) for p in him)
-    found = _orbit_supplement_search(G, H, K, lattice_cap)
-    return False if found else None
 
 
 # -- G-isomorphism and G-connectedness ----------------------------------------
@@ -1047,7 +981,8 @@ class CrownRecord:
 
 def crowns(G, seed=0):
     """Crowns of G: G-isomorphism classes of complemented abelian chief
-    factors and G-connectedness classes of non-Frattini non-abelian ones."""
+    factors and G-connectedness classes of the non-abelian ones (which are
+    never Frattini)."""
     key = ("crowns", seed)
     got = G._cache.get(key)
     if got is not None:
@@ -1061,12 +996,7 @@ def crowns(G, seed=0):
             f"{len(undecided)} abelian factors have undecided complement "
             "status; crowns would be incomplete")
     ab = [d for d in facs if d.abelian and d.complemented]
-    nonab = [d for d in facs if not d.abelian and d.frattini is False]
-    nonab_unknown = [d for d in facs if not d.abelian and d.frattini is None]
-    if nonab_unknown:
-        raise RefusedComputation(
-            f"{len(nonab_unknown)} non-abelian factors have undecided "
-            "Frattini status")
+    nonab = [d for d in facs if not d.abelian]
     out = []
     for group_members in _partition(G, ab, g_isomorphic):
         out.append(CrownRecord(group_members[0], group_members, True))
@@ -1109,21 +1039,12 @@ def classify_maximal(G, M, coset_limit=20000):
     mins = minimal_normal_subgroups(Q)
     if len(mins) == 1:
         N = mins[0]
-        return 1 if _is_abelian_group(N) else 2
+        return 1 if is_abelian(N) else 2
     if len(mins) == 2:
         return 3
     raise RuntimeError(
         f"quotient by the core has {len(mins)} minimal normal subgroups; "
         "was the subgroup really maximal?")
-
-
-def _is_abelian_group(N):
-    gens = N.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if not (a * b == b * a):
-                return False
-    return True
 
 
 def associated_primitive(G, d):
@@ -1154,11 +1075,3 @@ def associated_primitive(G, d):
     if P.order != expected:
         raise RuntimeError("affine primitive group has unexpected order")
     return P
-
-
-def is_complemented(G, d, budget=COMPLEMENT_TUPLE_BUDGET):
-    """Public wrapper: complement flag of a chief factor descriptor."""
-    ensure_factor_flags(G, d)
-    if d.complemented is None:
-        raise RefusedComputation("complement status undecided within budget")
-    return d.complemented

@@ -133,6 +133,17 @@ def test_m_exact_below_bounds_corpus():
                 assert m <= rep.bound_lub_A, (G.name, n)
 
 
+def test_type_bounds_on_products():
+    # direct products whose d exceeds the largest d of their factors
+    from maxsub.corpus import check_type_bounds
+    from maxsub.group import direct_product
+    for parts in [(cyc(2), cyc(2)), (sym(3), sym(3))]:
+        P, _, _ = direct_product(list(parts))
+        label, ok, detail = check_type_bounds(P)
+        assert ok, (label, detail)
+        assert profile(P).d == 2
+
+
 def test_dl_bound_simple():
     p = profile(alt(5))
     rep = eta_kappa(p)

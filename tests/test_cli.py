@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from maxsub.cli import (EXIT_OK, EXIT_REFUSED, SpecError, main, parse_spec)
+import maxsub.cli
+from maxsub.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_REFUSED, SpecError, main,
+                        parse_spec)
 
 
 def run_cli(capsys, *argv):
@@ -103,3 +105,23 @@ def test_refusal_exit_code(capsys):
                              "analyze", "hat:agl:1,8;2")
     assert code == EXIT_REFUSED
     assert "refused" in err
+
+
+def test_rks_above_lattice_limit_refuses(capsys):
+    # the primitive quotient A5 is above the lattice limit, so rks (and
+    # every bound built on it) cannot be certified
+    code, out, err = run_cli(capsys, "--lattice-limit", "50",
+                             "analyze", "alt:5")
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert "lattice limit 50" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(maxsub.cli, "cmd_analyze", broken)
+    code, out, err = run_cli(capsys, "analyze", "sym:4")
+    assert code == EXIT_INTERNAL
+    assert "internal error: RuntimeError: boom" in err

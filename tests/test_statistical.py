@@ -71,3 +71,17 @@ def test_mc_coverage_a5():
         if abs(r.estimate - exact) <= r.ci_halfwidth:
             covered += 1
     assert covered >= 194, f"only {covered}/200 runs covered 19/30"
+
+
+def test_mc_memo_kept_for_small_groups_only():
+    # a warmed memo gives the same estimate as a fresh handle
+    A = alt(5)
+    for seed in range(3):
+        gen_prob_mc(A, 2, trials=500, seed=seed)
+    assert ("mc_generates", 2) in A._cache
+    assert gen_prob_mc(A, 2, trials=500, seed=7).estimate == \
+        gen_prob_mc(alt(5), 2, trials=500, seed=7).estimate
+    # |AGL(3,2)|^2 tuples do not fit, so no answer is kept
+    G = builtin("agl:3,2")
+    gen_prob_mc(G, 2, trials=100, seed=0)
+    assert ("mc_generates", 2) not in G._cache

@@ -3,7 +3,7 @@ import pytest
 from maxsub.catalog import alt, builtin, cyc, sym
 from maxsub.group import core, direct_product, group_from_generators, is_normal
 from maxsub.lattice import maximal_subgroups
-from maxsub.perms import parse_cycles
+from maxsub.perms import Permutation, parse_cycles
 from maxsub.structure import (associated_primitive, chief_series,
                               classify_maximal, complement_solution_count,
                               crowns, describe_factor, ensure_factor_flags,
@@ -93,6 +93,49 @@ def test_frattini_factor_of_c4():
         ensure_factor_flags(G, d)
     # the lower C2 is the Frattini subgroup of C4: not complemented
     assert [d.complemented for d in facs] == [False, True]
+
+
+def test_nonabelian_factor_flags_need_no_lattice():
+    G = alt(5)
+    d = chief_series(G)[0]
+    ensure_factor_flags(G, d, lattice_cap=1)
+    assert d.frattini is False
+    assert d.complemented is None
+
+
+def sl25_on_vectors():
+    """SL(2,5) acting on the 24 nonzero vectors of GF(5)^2."""
+    vecs = [(a, b) for a in range(5) for b in range(5) if (a, b) != (0, 0)]
+    index = {v: i for i, v in enumerate(vecs)}
+    gens = []
+    for (a, b), (c, e) in [((1, 1), (0, 1)), ((0, 4), (1, 0))]:
+        gens.append(Permutation([index[((x * a + y * c) % 5,
+                                        (x * b + y * e) % 5)]
+                                 for x, y in vecs]))
+    return group_from_generators(24, gens)
+
+
+def test_frattini_flags_match_lattice():
+    # H/K is non-Frattini exactly when some maximal subgroup contains K but
+    # not H; the flags (by complement or by theorem) must agree with that
+    A5xC2, _, _ = direct_product([alt(5), cyc(2)])
+    SL25 = sl25_on_vectors()
+    assert SL25.order == 120
+    for G in (sym(5), A5xC2, SL25):
+        recs = maximal_subgroups(G)
+        facs = chief_series(G)
+        assert any(not d.abelian for d in facs)
+        for d in facs:
+            ensure_factor_flags(G, d)
+            H, K = d.section.upper, d.section.lower
+            supplemented = any(
+                all(r.subgroup.contains(g) for g in K.generators)
+                and not all(r.subgroup.contains(g) for g in H.generators)
+                for r in recs)
+            assert d.frattini is (not supplemented), (G.order, d)
+    centre = chief_series(SL25)[0]
+    assert centre.order == 2
+    assert centre.frattini is True and centre.complemented is False
 
 
 def test_complement_count_matches_h1():
