@@ -63,6 +63,7 @@ class StabilizerChain:
         self.sgens = []
         self.levels = []
         self._order = None
+        self._ident_bytes = np.arange(degree, dtype=np.int32).tobytes()
         # cap on memoized transversal arrays (~120 MB of int32 entries)
         self._memo_left = max(32_000_000 // max(degree, 1), 64)
         seed_arrays = []
@@ -86,11 +87,31 @@ class StabilizerChain:
             if known_order is not None and self._orbit_product() == known_order:
                 self._order = known_order
                 return
-        self._deterministic_pass(known_order)
+        self._deterministic_pass(len(self.levels) - 1, known_order)
         self._order = self._orbit_product()
         if known_order is not None and self._order != known_order:
             raise ValueError(
                 f"chain order {self._order} does not match stated order {known_order}")
+
+    def extend(self, arrays):
+        """Add generators to a complete chain, resuming Schreier-Sims.
+
+        Each new array is sifted and its residue becomes a strong generator
+        at its home level; levels below the highest such home keep their
+        generators, so they stay certified and only the levels from there
+        up are checked again.
+        """
+        top = -1
+        for arr in arrays:
+            arr = np.asarray(arr, dtype=np.int32)
+            if len(arr) != self.degree:
+                raise ValueError("generator degree mismatch")
+            residue, _ = self._sift_arr(arr)
+            if residue is not None:
+                top = max(top, self._insert_gen(residue))
+        if top >= 0:
+            self._deterministic_pass(top)
+            self._order = self._orbit_product()
 
     def _home_level(self, arr):
         """Number of leading base points fixed by arr; extends the base when
@@ -145,13 +166,13 @@ class StabilizerChain:
         Only the home level's orbit is rebuilt here; orbits above may go
         stale (undershoot), which can only cause spurious sift failures that
         the deterministic pass repairs when it re-certifies each level.
+        Returns the home level, or None when arr is the identity.
         """
         home = self._home_level(arr)
-        if home is None:
-            return False
-        self.sgens.append((home, arr, _invert(arr)))
-        self._rebuild_orbit(home)
-        return True
+        if home is not None:
+            self.sgens.append((home, arr, _invert(arr)))
+            self._rebuild_orbit(home)
+        return home
 
     def _level_gens(self, i):
         return [(arr, inv) for home, arr, inv in self.sgens if home >= i]
@@ -232,7 +253,6 @@ class StabilizerChain:
         level is the first level that could not reduce it (len(levels) + 1
         sentinel shapes are normalized by callers via _home_level)."""
         g = arr
-        ident = np.arange(self.degree, dtype=np.int32)
         for i in range(start, len(self.levels)):
             lvl = self.levels[i]
             delta = int(g[lvl.point])
@@ -241,7 +261,7 @@ class StabilizerChain:
             if delta not in lvl.tree:
                 return g, i
             g = _compose(g, self._rep_inv(i, delta))
-        if np.array_equal(g, ident):
+        if g.tobytes() == self._ident_bytes:
             return None, len(self.levels)
         return g, len(self.levels)
 
@@ -262,7 +282,7 @@ class StabilizerChain:
             accu = _compose(accu, pool[i])
             residue, _ = self._sift_arr(accu)
             if residue is not None:
-                if self._insert_gen(residue):
+                if self._insert_gen(residue) is not None:
                     quiet = 0
                     if known_order is not None and self._orbit_product() == known_order:
                         return
@@ -271,10 +291,11 @@ class StabilizerChain:
             else:
                 quiet += 1
 
-    def _deterministic_pass(self, known_order=None):
-        """Verify the chain by sifting every Schreier generator, adding
-        residues until all of them sift to the identity."""
-        i = len(self.levels) - 1
+    def _deterministic_pass(self, start, known_order=None):
+        """Verify levels start, ..., 0 by sifting every Schreier generator,
+        adding residues until all of them sift to the identity (the levels
+        below start must already be complete)."""
+        i = start
         while i >= 0:
             self._rebuild_orbit(i)
             failure = self._check_level(i)
@@ -323,7 +344,7 @@ class StabilizerChain:
         return [lvl.point for lvl in self.levels]
 
     def contains_arr(self, arr):
-        residue, _ = self._sift_arr(arr)
+        residue, _ = self._sift_arr(np.asarray(arr, dtype=np.int32))
         return residue is None
 
     def contains(self, p):

@@ -24,6 +24,7 @@ standard error).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import traceback
@@ -301,8 +302,15 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    code = _run(build_parser().parse_args(argv))
+    # every cached result points back to its group handle, so a command's
+    # memory is only returned by a full collection; do it now, so a
+    # process running many commands holds one command's memory at a time
+    gc.collect()
+    return code
+
+
+def _run(args):
     try:
         return args.fn(args)
     except (LimitExceeded, RefusedComputation) as e:

@@ -52,13 +52,6 @@ def corpus_groups(include_heavy=True):
     return groups
 
 
-def _flat(G):
-    """Fresh non-product handle over the same generators (forces the direct
-    chief-series path instead of assembly)."""
-    from .group import group_from_generators
-    return group_from_generators(G.degree, G.generators, name=G.name)
-
-
 # -- individual suites ----------------------------------------------------------
 
 

@@ -76,9 +76,6 @@ class GroupHandle:
         return self.degree == other.degree and all(
             other.contains(g) for g in self.generators)
 
-    def same_group(self, other):
-        return (self.order == other.order and self.is_subgroup_of(other))
-
     def subgroup(self, gens, name=None, known_order=None):
         """Handle for the subgroup of the same point set generated by gens."""
         return GroupHandle(self.degree, gens, name=name, known_order=known_order)
@@ -280,8 +277,8 @@ def is_normal(G, H):
 def normal_closure(G, seeds):
     """Smallest normal subgroup of G containing the seed permutations.
 
-    Conjugate residues are collected in waves so the chain is rebuilt once
-    per wave rather than once per generator.
+    Conjugate residues are collected in waves; one chain is extended by
+    each wave rather than rebuilt per generator.
     """
     gens = []
     chain = None
@@ -289,18 +286,24 @@ def normal_closure(G, seeds):
     conj = [(g, g.inv()) for g in G.generators]
     while wave:
         fresh = []
+        keys = set()
         for p in wave:
             if p.is_identity():
                 continue
             if chain is not None and chain.contains(p):
                 continue
-            if any(p == q for q in fresh):
+            key = p.images.tobytes()
+            if key in keys:
                 continue
+            keys.add(key)
             fresh.append(p)
         if not fresh:
             break
         gens.extend(fresh)
-        chain = StabilizerChain(G.degree, gens)
+        if chain is None:
+            chain = StabilizerChain(G.degree, gens)
+        else:
+            chain.extend([p.images for p in fresh])
         wave = [ginv * p * g for p in fresh for g, ginv in conj]
     if chain is None:
         return G.subgroup([], name="1")
@@ -405,6 +408,34 @@ class CosetAction:
         self.kernel = kernel
 
 
+def coset_table(G, Hchain, index):
+    """Right cosets of H (given by its chain) in G, enumerated from H by the
+    generators of G: canonical representatives, the position of each by its
+    bytes, and the image list of every generator on the positions."""
+    first = coset_canonical(Hchain, np.arange(G.degree, dtype=np.int32))
+    reps = [first]
+    index_of = {first.tobytes(): 0}
+    gen_arrays = [g.images for g in G.generators]
+    images = [[] for _ in gen_arrays]
+    head = 0
+    while head < len(reps):
+        r = reps[head]
+        for garr, img in zip(gen_arrays, images):
+            nxt = coset_canonical(Hchain, _compose(r, garr))
+            key = nxt.tobytes()
+            j = index_of.get(key)
+            if j is None:
+                j = len(reps)
+                index_of[key] = j
+                reps.append(nxt)
+            img.append(j)
+        head += 1
+    if len(reps) != index:
+        raise RuntimeError(
+            f"coset enumeration found {len(reps)} cosets, expected {index}")
+    return reps, index_of, images
+
+
 def coset_action(G, H, limit=DEFAULT_COSET_LIMIT):
     """Action of G on the right cosets of H, with the quotient group, the
     epimorphism onto it and its kernel (the core of H)."""
@@ -414,43 +445,18 @@ def coset_action(G, H, limit=DEFAULT_COSET_LIMIT):
     if index > limit:
         raise LimitExceeded(f"index {index} exceeds coset limit {limit}")
     Hchain = H.chain
-
-    def canonical(arr):
-        return coset_canonical(Hchain, arr)
-
-    ident = np.arange(G.degree, dtype=np.int32)
-    first = canonical(ident)
-    reps = [first]
-    index_of = {first.tobytes(): 0}
-    gen_arrays = [g.images for g in G.generators]
-    images = [[] for _ in gen_arrays]
-    head = 0
-    while head < len(reps):
-        r = reps[head]
-        for gi, garr in enumerate(gen_arrays):
-            nxt = canonical(_compose(r, garr))
-            key = nxt.tobytes()
-            j = index_of.get(key)
-            if j is None:
-                j = len(reps)
-                index_of[key] = j
-                reps.append(nxt)
-            images[gi].append(j)
-        head += 1
-    n = len(reps)
-    if n != index:
-        raise RuntimeError(f"coset enumeration found {n} cosets, expected {index}")
+    reps, index_of, images = coset_table(G, Hchain, index)
     action_arrays = [np.array(im, dtype=np.int32) for im in images]
     quotient = group_from_generators(
-        max(n, 1), [Permutation(a) for a in action_arrays],
+        index, [Permutation(a) for a in action_arrays],
         name=f"{G.name or 'G'}/core")
-    kernel = kernel_of_action(G, action_arrays, n)
+    kernel = kernel_of_action(G, action_arrays, index)
 
     def apply_fn(p):
         arr = p.images
-        out = np.empty(n, dtype=np.int32)
+        out = np.empty(index, dtype=np.int32)
         for j, r in enumerate(reps):
-            out[j] = index_of[canonical(_compose(r, arr)).tobytes()]
+            out[j] = index_of[coset_canonical(Hchain, _compose(r, arr)).tobytes()]
         return Permutation(out)
 
     epi = Epimorphism(G, quotient,

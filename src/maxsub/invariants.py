@@ -446,8 +446,10 @@ def _assemble_product_profile(G, seed, lattice_limit, with_lattice):
         if mg.certified:
             out.d = mg.value
         else:
-            out.d = None
-            out.skipped["d"] = (f"bracket [{max(lower, mg.lower)}, {dgen}] "
+            # as in `profile`: d is the upper end of the bracket
+            upper = dgen if mg.upper is None else min(dgen, mg.upper)
+            out.d = upper
+            out.skipped["d"] = (f"bracket [{max(lower, mg.lower)}, {upper}] "
                                 "(product d not certified)")
     mins = [p.min_index for p in profs if p.min_index is not None]
     out.min_index = min(mins) if mins else None

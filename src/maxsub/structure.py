@@ -26,7 +26,7 @@ from math import lcm
 import numpy as np
 
 from .bsgs import LimitExceeded, StabilizerChain, _compose
-from .group import (GroupHandle, coset_action, coset_canonical,
+from .group import (GroupHandle, coset_action, coset_canonical, coset_table,
                     group_from_generators, is_abelian, is_normal,
                     kernel_of_action, normal_closure,
                     stabilizer_of_action_point)
@@ -82,12 +82,6 @@ class ChiefFactorDescriptor:
         self.space = None            # SectionSpace for abelian factors
         self.factor_action = None    # FactorAction for non-abelian factors
         self.index_in_series = None
-
-    @property
-    def action_matrices(self):
-        if not self.abelian:
-            raise ValueError("action matrices exist for abelian factors only")
-        return self.space.gen_matrices
 
     def __repr__(self):
         kind = "abelian" if self.abelian else (self.simple_id or "non-abelian")
@@ -413,7 +407,11 @@ def _peel_orbits(G, N, W, rng):
 
 def _minimal_invariant_normal_over(JW, JN, jg_perms):
     """Smallest S with J_N < S <= J_W, S normalized by J_W and by the given
-    outer permutations (all small-group work)."""
+    outer permutations (all small-group work).
+
+    A minimal such S is the invariant closure of J_N and any x in S - J_N,
+    and every such x is J_W-conjugate to a class representative, so the
+    smallest closure over the representatives is already minimal."""
     JG = group_from_generators(JW.degree,
                                list(JW.generators) + list(jg_perms))
     best = None
@@ -429,18 +427,6 @@ def _minimal_invariant_normal_over(JW, JN, jg_perms):
             best = S
     if best is None:
         raise RuntimeError("no invariant normal subgroup found in orbit image")
-    # descend to minimality by rescanning elements of the current candidate
-    improved = True
-    while improved:
-        improved = False
-        for x in best.elements(limit=ELEMENT_BUDGET):
-            if x.is_identity() or JN.contains(x):
-                continue
-            S = normal_closure(JG, list(JN.generators) + [x])
-            if S.order < best.order and S.is_subgroup_of(JW):
-                best = S
-                improved = True
-                break
     return best
 
 
@@ -453,6 +439,8 @@ def _materialize_step(G, N, W, coset_limit):
     Wbar = Q.subgroup([act.map.apply(w) for w in W.generators])
     if Wbar.order == 1:
         return None
+    # the smallest closure of a class representative of Wbar is a minimal
+    # normal subgroup of Q (see _minimal_invariant_normal_over)
     target = None
     for rep in _conjugacy_class_reps(Wbar, ELEMENT_BUDGET):
         if rep.is_identity():
@@ -460,17 +448,6 @@ def _materialize_step(G, N, W, coset_limit):
         S = normal_closure(Q, [rep])
         if target is None or S.order < target.order:
             target = S
-    improved = True
-    while improved:
-        improved = False
-        for x in target.elements(limit=ELEMENT_BUDGET):
-            if x.is_identity():
-                continue
-            S = normal_closure(Q, [x])
-            if S.order < target.order:
-                target = S
-                improved = True
-                break
     # pull back: G acts on cosets of target in Q through the quotient map
     act2 = coset_action(Q, target)
     arrays = [act2.map.apply(act.map.gen_images[i]).images
@@ -620,14 +597,14 @@ def complement_solution_count(G, H, K, budget=COMPLEMENT_TUPLE_BUDGET,
     sec_d.abelian = _section_is_abelian(H, K)
     if not sec_d.abelian:
         raise ValueError("complement counting is for abelian factors")
-    sec_d.prime, sec_d.dim = prime_power_split(sec_d.order)
-    sec_d.space = SectionSpace(G, H, K, sec_d.prime, dim_cap=SECTION_DIM_CAP)
-    lifts = _abelian_coset_lifts(sec_d)
     n = sec_d.order
     dgen = len(G.generators)
     if n ** dgen > budget:
         raise RefusedComputation(
             f"complement search space {n}**{dgen} exceeds budget {budget}")
+    sec_d.prime, sec_d.dim = prime_power_split(n)
+    sec_d.space = SectionSpace(G, H, K, sec_d.prime, dim_cap=SECTION_DIM_CAP)
+    lifts = _abelian_coset_lifts(sec_d)
     target = G.order // n
     base_gens = list(K.chain.strong_generators())
     count = 0
@@ -933,31 +910,57 @@ def _set_stabilizer(Q, elem_keys, set_size):
 
 
 def _is_maximal_by_cosets(Q, U):
-    """U maximal in Q, verified by closing U with one representative of
-    every nontrivial coset."""
+    """U maximal in Q, decided by primitivity: U is the stabilizer of coset
+    0 in the action of Q on the cosets of U, so it is maximal exactly when
+    that action is primitive.  The minimal block containing {0, b} is
+    computed for one b in each orbit of U (Atkinson, Math. Comp. 29, 1975)."""
     index = Q.order // U.order
     Uchain = U.chain
-    ident = np.arange(Q.degree, dtype=np.int32)
-    reps = [coset_canonical(Uchain, ident)]
-    seen = {reps[0].tobytes()}
-    head = 0
-    garrs = [g.images for g in Q.generators]
-    while head < len(reps):
-        r = reps[head]
-        head += 1
-        for a in garrs:
-            nxt = coset_canonical(Uchain, _compose(r, a))
-            if nxt.tobytes() not in seen:
-                seen.add(nxt.tobytes())
-                reps.append(nxt)
-    if len(reps) != index:
-        raise RuntimeError("coset enumeration mismatch in maximality test")
-    ugens = list(U.chain.strong_generators())
-    for r in reps[1:]:
-        chain = StabilizerChain(Q.degree, ugens + [Permutation(r.copy())])
-        if chain.order != Q.order:
+    reps, index_of, actions = coset_table(Q, Uchain, index)
+    uarrs = [u.images for u in Uchain.strong_generators()]
+    seen = [False] * index
+    seen[0] = True
+    for b in range(1, index):
+        if seen[b]:
+            continue
+        if not _minimal_block_is_everything(actions, index, b):
             return False
+        seen[b] = True
+        orbit = [b]
+        for x in orbit:
+            for ua in uarrs:
+                img = coset_canonical(Uchain, _compose(reps[x], ua))
+                y = index_of[img.tobytes()]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
     return True
+
+
+def _minimal_block_is_everything(actions, n, b):
+    """Whether the finest block system of the action (one image list per
+    generator) that joins 0 and b has a single block; union-find over the
+    merged pairs."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parent[b] = 0
+    blocks = n - 1
+    pairs = [(0, b)]
+    while pairs and blocks > 1:
+        x, y = pairs.pop()
+        for act in actions:
+            rx, ry = find(act[x]), find(act[y])
+            if rx != ry:
+                parent[ry] = rx
+                blocks -= 1
+                pairs.append((rx, ry))
+    return blocks == 1
 
 
 # -- crowns ---------------------------------------------------------------------

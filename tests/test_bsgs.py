@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxsub.bsgs import LimitExceeded, StabilizerChain
 from maxsub.perms import Permutation, parse_cycles
@@ -96,3 +98,40 @@ def test_bigger_group_against_naive():
     s = Permutation(inv)
     c = StabilizerChain(degree, [t, s])
     assert c.order == len(naive_closure(degree, [t, s])) == 168
+
+
+def test_contains_arr_accepts_int64_identity():
+    c = chain_of(5, "(1,2)", "(1,2,3,4,5)")
+    assert c.contains_arr(np.arange(5, dtype=np.int64))
+    assert not chain_of(5, "(1,2,3)").contains_arr(
+        np.array([1, 0, 2, 3, 4], dtype=np.int64))
+
+
+@st.composite
+def _extension_case(draw):
+    degree = draw(st.integers(min_value=2, max_value=9))
+    perm = st.permutations(list(range(degree))).map(Permutation)
+    first = draw(st.lists(perm, min_size=0, max_size=3))
+    more = draw(st.lists(perm, min_size=1, max_size=3))
+    probes = draw(st.lists(perm, min_size=1, max_size=8))
+    return degree, first, more, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(_extension_case())
+def test_extend_matches_fresh_chain_and_sympy(case):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    degree, first, more, probes = case
+    extended = StabilizerChain(degree, first)
+    extended.extend([p.images for p in more])
+    fresh = StabilizerChain(degree, first + more)
+
+    def sympy_perm(p):
+        return combinatorics.Permutation(p.images.tolist())
+
+    reference = combinatorics.PermutationGroup(
+        [sympy_perm(p) for p in first + more])
+    assert extended.order == fresh.order == reference.order()
+    for p in probes + first + more:
+        expected = reference.contains(sympy_perm(p))
+        assert extended.contains(p) == fresh.contains(p) == expected

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -125,3 +126,29 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", "sym:4")
     assert code == EXIT_INTERNAL
     assert "internal error: RuntimeError: boom" in err
+
+
+def test_product_d_uncertified_uses_bracket_top(capsys, monkeypatch):
+    import maxsub.invariants
+    orig = maxsub.invariants.min_generators
+
+    def uncertified(G, *args, **kwargs):
+        if G.product_factors is None:
+            return orig(G, *args, **kwargs)
+        return maxsub.invariants.MinGenResult(3, 2, 3, False)
+
+    monkeypatch.setattr(maxsub.invariants, "min_generators", uncertified)
+    code, out, err = run_cli(capsys, "analyze", "dp:sym:3+sym:3+sym:3")
+    assert code == EXIT_OK
+    prof = json.loads(out)["profile"]
+    assert prof["d"] == 3
+    assert prof["skipped"]["d"].startswith("bracket [2, 3]")
+
+
+def test_command_leaves_no_cyclic_garbage(capsys):
+    gc.disable()
+    try:
+        assert main(["analyze", "sym:4"]) == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,10 +1,13 @@
 import pytest
 
+import maxsub.group
+import maxsub.structure
 from maxsub.catalog import alt, builtin, cyc, sym
 from maxsub.group import core, direct_product, group_from_generators, is_normal
-from maxsub.lattice import maximal_subgroups
+from maxsub.lattice import maximal_subgroups, subgroup_classes
 from maxsub.perms import Permutation, parse_cycles
-from maxsub.structure import (associated_primitive, chief_series,
+from maxsub.structure import (RefusedComputation, _is_maximal_by_cosets,
+                              associated_primitive, chief_series,
                               classify_maximal, complement_solution_count,
                               crowns, describe_factor, ensure_factor_flags,
                               g_connected, g_isomorphic,
@@ -252,3 +255,49 @@ def test_chief_series_agl32():
         ensure_factor_flags(G, d)
     assert facs[0].complemented is True
     assert facs[1].frattini is False
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sym(4), lambda: alt(5), lambda: builtin("psl:2,7"),
+    lambda: builtin("agl:1,8"),
+    lambda: direct_product([sym(3), sym(3)])[0]],
+    ids=["S4", "A5", "PSL(2,7)", "AGL(1,8)", "S3xS3"])
+def test_maximal_by_cosets_matches_lattice(make):
+    G = make()
+    lat = subgroup_classes(G)
+    maximal = {c.key for c in lat.maximal_classes()}
+    assert {rec.class_ref.key for rec in maximal_subgroups(G)} == maximal
+    for c in lat.classes:
+        if c.order == G.order:
+            continue
+        U = c.representative(lat.table)
+        assert _is_maximal_by_cosets(G, U) == (c.key in maximal)
+
+
+def test_chief_series_agl32_closure_count(monkeypatch):
+    calls = []
+    for mod in (maxsub.group, maxsub.structure):
+        orig = mod.normal_closure
+
+        def counted(G, seeds, orig=orig):
+            calls.append(1)
+            return orig(G, seeds)
+
+        monkeypatch.setattr(mod, "normal_closure", counted)
+    facs = chief_series(builtin("agl:3,2"))
+    assert [d.order for d in facs] == [8, 168]
+    assert len(calls) <= 25
+
+
+def test_complement_budget_checked_before_section_space(monkeypatch):
+    G = sym(4)
+    K = G.subgroup([], known_order=1)
+    H = group_from_generators(4, [parse_cycles("(1,2)(3,4)", degree=4),
+                                  parse_cycles("(1,3)(2,4)", degree=4)])
+
+    def no_space(*args, **kwargs):
+        raise AssertionError("SectionSpace built before the budget check")
+
+    monkeypatch.setattr(maxsub.structure, "SectionSpace", no_space)
+    with pytest.raises(RefusedComputation):
+        complement_solution_count(G, H, K, budget=1)
