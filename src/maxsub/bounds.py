@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .simptable import (DEFAULT_CAP, is_prime_power, power_of_simple_order,
-                        simple_order_table)
+from .simptable import DEFAULT_CAP, is_prime_power, power_of_simple_order
 
 SLACK = 1e-9
 NEG_INF = float("-inf")
@@ -66,17 +65,21 @@ class BoundReport:
 
 def bound_mn(prof, n, cap=DEFAULT_CAP):
     """Case-selected bound on the number of index-n maximal subgroups,
-    plus the two comparison bounds."""
-    if prof.d is None:
-        raise ValueError("profile carries no certified d")
+    plus the two comparison bounds (left null when the profile has no d,
+    as `eta_kappa` leaves eta)."""
+    rep = BoundReport(n)
+    if prof.m_exact is not None:
+        rep.m_exact = prof.m_exact.get(n, 0 if "m_exact" not in prof.skipped
+                                       else None)
     d = prof.d
+    if d is None:
+        return rep
     cls = classify_index(n, cap)
     cr = prof.cr_ab.get(n, 0)
     rks = prof.rks.get(n, 0)
     rko = prof.rko.get(n, 0)
     rkm = prof.rkm.get(n, 0)
     s_n = prof.s.get(n, 0)
-    rep = BoundReport(n)
     rep.witnesses = {"d": d, "cr_ab": cr, "rks": rks, "rko": rko,
                      "rkm": rkm, "s": s_n, "in_T": cls.in_T, "in_S": cls.in_S}
 
@@ -121,9 +124,6 @@ def bound_mn(prof, n, cap=DEFAULT_CAP):
     rep.witnesses["r_b_at_n"] = r_b
     rep.witnesses["ab"] = ab_n
     rep.witnesses["r"] = prof.r
-    if prof.m_exact is not None:
-        rep.m_exact = prof.m_exact.get(n, 0 if "m_exact" not in prof.skipped
-                                       else None)
     return rep
 
 

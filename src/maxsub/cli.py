@@ -37,7 +37,7 @@ from .constructions import build_Lk, hat, subdirect, tuple_orbits
 from .group import direct_product, group_from_generators, is_abelian
 from .invariants import profile
 from .perms import format_cycles, parse_cycles
-from .probgen import NuBracket, gen_prob, gen_prob_mc, nu
+from .probgen import NuBracket, nu
 from .structure import RefusedComputation, minimal_normal_subgroups
 
 EXIT_OK = 0

@@ -13,20 +13,17 @@ generating tuples.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .bsgs import LimitExceeded, StabilizerChain
-from .group import (GroupHandle, coset_action, direct_product,
+from .group import (GroupHandle, coset_action, generates,
                     group_from_generators, is_abelian, is_normal,
-                    normal_closure)
-from .lattice import DEFAULT_ORDER_LIMIT, maximal_subgroups, subgroup_classes
+                    kernel_of_action, small_generating_set)
+from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
 from .modules import SectionSpace, intertwiner_space_dim, minimal_submodule
 from .perms import Permutation
 from .probgen import phi
 from .structure import RefusedComputation, complement_solution_count
-from .tables import ElementTable, element_table
+from .tables import element_table
 
 AUT_ELEMENT_BUDGET = 5000
 
@@ -297,31 +294,14 @@ def automorphisms(G, element_budget=AUT_ELEMENT_BUDGET):
     dfs(0, [])
     if not valid_maps:
         raise RuntimeError("automorphism search found nothing (not even inner)")
-    gen_maps = _reduce_map_generators(valid_maps, n)
+    # a small generating set of the map group, as degree-n permutations
+    gen_maps = small_generating_set(
+        n, sorted((Permutation(m) for m in valid_maps), key=lambda q: q.key()),
+        len(valid_maps))
     aut = AutomorphismGroup(G, len(valid_maps), valid_maps, gen_maps, T,
                             tuple(tup), valid_images)
     G._cache["automorphisms"] = aut
     return aut
-
-
-def _reduce_map_generators(maps, n):
-    """Small generating set for the map group (as degree-n permutations)."""
-    perms = [Permutation(m) for m in maps]
-    target = len(maps)
-    gens = []
-    chain = None
-    for p in sorted(perms, key=lambda q: q.key()):
-        if p.is_identity():
-            continue
-        if chain is not None and chain.contains(p):
-            continue
-        gens.append(p)
-        chain = StabilizerChain(n, gens)
-        if chain.order == target:
-            break
-    if chain is not None and chain.order != target:
-        raise RuntimeError("automorphism maps did not close into a group")
-    return gens
 
 
 # -- orbit census -----------------------------------------------------------------
@@ -473,8 +453,7 @@ def subdirect(factors):
         raise ValueError("all tuples must share one arity")
     d = arities.pop()
     for Gi, tup in factors:
-        chain = StabilizerChain(Gi.degree, list(tup))
-        if chain.order != Gi.order:
+        if not generates(Gi, list(tup)):
             raise ValueError("a tuple does not generate its factor")
     total = sum(Gi.degree for Gi, _ in factors)
     offsets = []
@@ -499,13 +478,9 @@ def verify_subdirect_projections(H):
     blocks = H._cache.get("subdirect_blocks")
     if blocks is None:
         raise ValueError("handle does not carry subdirect metadata")
-    for Gi, off in blocks:
-        arrs = [Permutation(g.images[off:off + Gi.degree] - off)
-                for g in H.generators]
-        chain = StabilizerChain(Gi.degree, arrs)
-        if chain.order != Gi.order:
-            return False
-    return True
+    return all(generates(Gi, [Permutation(g.images[off:off + Gi.degree] - off)
+                              for g in H.generators])
+               for Gi, off in blocks)
 
 
 def hat(G, d, materialize_degree_limit=1024,
@@ -529,7 +504,6 @@ def distinct_projection_kernels(H):
     kernels = []
     for Gi, off in blocks:
         arrs = [g.images[off:off + Gi.degree] - off for g in H.generators]
-        from .group import kernel_of_action
         K = kernel_of_action(H, arrs, Gi.degree)
         kernels.append(K)
     distinct = True

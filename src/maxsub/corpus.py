@@ -8,17 +8,15 @@ tuple counts, bound inequalities) and never weaken a failed comparison.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product
 
 from .bounds import bound_mn, check_b2, classify_index, eta_kappa
 from .catalog import alt, builtin, cyc, dih, sym
 from .group import direct_product
-from .invariants import min_generators, profile
+from .invariants import profile
 from .lattice import m_n_map, maximal_subgroups, subgroup_classes
-from .perms import Permutation
-from .probgen import at_least_one_over_e, gen_prob, nu, phi
+from .probgen import gen_prob, nu
 from .structure import chief_series, classify_maximal
 
 NAIVE_ORDER_CAP = 5000

@@ -180,30 +180,33 @@ def extend_action(G, action_arrays, action_degree):
     return combined
 
 
-def kernel_of_action(G, action_arrays, action_degree, known_order=None):
-    """Subgroup of G acting trivially on the new points.
+def _fixing_subgroup(G, action_arrays, action_degree, points, name):
+    """Subgroup of G whose induced action fixes each of the given new points.
 
     action_arrays: one permutation array of {0..action_degree-1} per
     generator of G.  The combined chain represents G itself, so its order
-    is known and certifies the build early.
+    is known and certifies the build early; its base starts with the fixed
+    points, and the chain is cut after the leading levels on them.
     """
     combined = extend_action(G, action_arrays, action_degree)
-    prefix = tuple(range(G.degree, G.degree + action_degree))
+    prefix = tuple(G.degree + q for q in points)
     chain = StabilizerChain(G.degree + action_degree, combined,
-                            base_prefix=prefix,
-                            known_order=known_order or G.order)
+                            base_prefix=prefix, known_order=G.order)
+    fixed = set(prefix)
     cut = 0
-    for lvl in chain.levels:
-        if lvl.point >= G.degree:
-            cut += 1
-        else:
-            break
+    order = G.order
+    while cut < len(chain.levels) and chain.levels[cut].point in fixed:
+        order //= len(chain.levels[cut].tree)
+        cut += 1
     gens = [Permutation(p.images[:G.degree].copy())
             for p in chain.stabilizer_suffix(cut)]
-    kernel_order = G.order
-    for i in range(cut):
-        kernel_order //= len(chain.levels[i].tree)
-    return G.subgroup(gens, name="kernel", known_order=kernel_order)
+    return G.subgroup(gens, name=name, known_order=order)
+
+
+def kernel_of_action(G, action_arrays, action_degree):
+    """Subgroup of G acting trivially on the new points."""
+    return _fixing_subgroup(G, action_arrays, action_degree,
+                            range(action_degree), "kernel")
 
 
 def kernel_of_action_schreier(G, action_arrays, action_degree):
@@ -249,17 +252,8 @@ def kernel_of_action_schreier(G, action_arrays, action_degree):
 
 def stabilizer_of_action_point(G, action_arrays, action_degree, point=0):
     """Subgroup of G whose induced action fixes one new point."""
-    combined = extend_action(G, action_arrays, action_degree)
-    prefix = (G.degree + point,)
-    chain = StabilizerChain(G.degree + action_degree, combined,
-                            base_prefix=prefix, known_order=G.order)
-    cut = 1 if chain.levels and chain.levels[0].point == G.degree + point else 0
-    gens = [Permutation(p.images[:G.degree].copy())
-            for p in chain.stabilizer_suffix(cut)]
-    order = G.order
-    if cut:
-        order //= len(chain.levels[0].tree)
-    return G.subgroup(gens, name="stabilizer", known_order=order)
+    return _fixing_subgroup(G, action_arrays, action_degree, (point,),
+                            "stabilizer")
 
 
 # -- standard subgroup operations -------------------------------------------
@@ -312,12 +306,14 @@ def normal_closure(G, seeds):
     return H
 
 
+def commutators(gens):
+    """[a, b] = a^-1 b^-1 a b for every pair of generators, a listed first."""
+    return [a.inv() * b.inv() * a * b
+            for i, a in enumerate(gens) for b in gens[i + 1:]]
+
+
 def derived_subgroup(G):
-    comms = []
-    for i, a in enumerate(G.generators):
-        for b in G.generators[i + 1:]:
-            comms.append(a.inv() * b.inv() * a * b)
-    return normal_closure(G, comms)
+    return normal_closure(G, commutators(G.generators))
 
 
 def is_abelian(G):
@@ -339,27 +335,40 @@ def centralizer(G, H, element_limit=20000):
     for p in G.chain.iter_elements():
         if all((p * h) == (h * p) for h in gens):
             out.append(p)
-    cz = G.subgroup(_reduce_generating_set(G.degree, out),
-                    known_order=len(out))
-    return cz
+    out.sort(key=lambda q: q.key())
+    return G.subgroup(small_generating_set(G.degree, out, len(out)),
+                      known_order=len(out))
 
 
-def _reduce_generating_set(degree, elements):
-    """Small generating set for the subgroup formed by a full element list."""
-    if not elements:
-        return []
-    target = len(elements)
+def generates(G, perms):
+    """Whether the permutations (elements of G) generate G."""
+    try:
+        chain = StabilizerChain(G.degree, perms, known_order=G.order)
+    except ValueError:
+        return False
+    return chain.order == G.order
+
+
+def small_generating_set(degree, candidates, order):
+    """Generators picked greedily from the candidates, in their order: a
+    candidate is kept when it lies outside the group generated by the ones
+    kept before it, until that group has the given order.  One chain is
+    extended by each kept candidate."""
     gens = []
     chain = None
-    for p in sorted(elements, key=lambda q: q.key()):
-        if p.is_identity():
-            continue
-        if chain is not None and chain.contains(p):
+    for p in candidates:
+        if p.is_identity() or (chain is not None and chain.contains(p)):
             continue
         gens.append(p)
-        chain = StabilizerChain(degree, gens)
-        if chain.order == target:
+        if chain is None:
+            chain = StabilizerChain(degree, gens)
+        else:
+            chain.extend([p.images])
+        if chain.order == order:
             break
+    if (1 if chain is None else chain.order) != order:
+        raise RuntimeError(
+            f"candidates do not generate a group of order {order}")
     return gens
 
 
@@ -408,14 +417,19 @@ class CosetAction:
         self.kernel = kernel
 
 
-def coset_table(G, Hchain, index):
-    """Right cosets of H (given by its chain) in G, enumerated from H by the
-    generators of G: canonical representatives, the position of each by its
-    bytes, and the image list of every generator on the positions."""
-    first = coset_canonical(Hchain, np.arange(G.degree, dtype=np.int32))
+def coset_position(Hchain, index_of, arr):
+    """Position of the right coset H*arr in a table from `coset_table`."""
+    return index_of[coset_canonical(Hchain, arr).tobytes()]
+
+
+def coset_table(gen_arrays, Hchain, index):
+    """Right cosets of H (given by its chain) in the group generated by the
+    arrays, enumerated from H: canonical representatives, the position of
+    each by its bytes, and the image list of every generator on the
+    positions."""
+    first = coset_canonical(Hchain, np.arange(Hchain.degree, dtype=np.int32))
     reps = [first]
     index_of = {first.tobytes(): 0}
-    gen_arrays = [g.images for g in G.generators]
     images = [[] for _ in gen_arrays]
     head = 0
     while head < len(reps):
@@ -445,7 +459,8 @@ def coset_action(G, H, limit=DEFAULT_COSET_LIMIT):
     if index > limit:
         raise LimitExceeded(f"index {index} exceeds coset limit {limit}")
     Hchain = H.chain
-    reps, index_of, images = coset_table(G, Hchain, index)
+    reps, index_of, images = coset_table(
+        [g.images for g in G.generators], Hchain, index)
     action_arrays = [np.array(im, dtype=np.int32) for im in images]
     quotient = group_from_generators(
         index, [Permutation(a) for a in action_arrays],
@@ -456,7 +471,7 @@ def coset_action(G, H, limit=DEFAULT_COSET_LIMIT):
         arr = p.images
         out = np.empty(index, dtype=np.int32)
         for j, r in enumerate(reps):
-            out[j] = index_of[coset_canonical(Hchain, _compose(r, arr)).tobytes()]
+            out[j] = coset_position(Hchain, index_of, _compose(r, arr))
         return Permutation(out)
 
     epi = Epimorphism(G, quotient,

@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import random
 
-from .bsgs import LimitExceeded, StabilizerChain
-from .group import (derived_subgroup, direct_product, group_from_generators,
-                    is_abelian)
+from .group import (derived_subgroup, direct_product, generates, is_abelian,
+                    small_generating_set)
 from .lattice import DEFAULT_ORDER_LIMIT, m_n_map, subgroup_classes
 from .simptable import is_prime
-from .structure import (RefusedComputation, _has_diagonal_corefree_maximal,
-                        chief_series, crowns, ensure_factor_flags,
-                        g_isomorphic)
+from .structure import (RefusedComputation, _conjugacy_class_reps,
+                        _conjugation_orbit_reps,
+                        _has_diagonal_corefree_maximal, chief_series, crowns,
+                        ensure_factor_flags)
 
 MIN_GEN_ELEMENT_BUDGET = 8192
 RANDOM_ACCEPT_TRIALS = 40
@@ -99,14 +99,6 @@ class MinGenResult:
         return f"<d in [{self.lower}, {self.upper}] (uncertified)>"
 
 
-def _generates(G, perms):
-    try:
-        chain = StabilizerChain(G.degree, perms, known_order=G.order)
-    except ValueError:
-        return False
-    return chain.order == G.order
-
-
 def min_generators(G, seed=0, element_budget=MIN_GEN_ELEMENT_BUDGET,
                    lattice_limit=DEFAULT_ORDER_LIMIT):
     """Exact minimal number of generators where certifiable.
@@ -138,7 +130,7 @@ def min_generators(G, seed=0, element_budget=MIN_GEN_ELEMENT_BUDGET,
     while upper is None:
         for _ in range(RANDOM_ACCEPT_TRIALS):
             tup = [G.uniform_random(rng) for _ in range(k)]
-            if _generates(G, tup):
+            if generates(G, tup):
                 upper = k
                 break
         if upper is None:
@@ -163,7 +155,6 @@ def _cyclic_within_budget(G, budget):
         exponent = math.lcm(*[g.order() for g in G.generators]) \
             if G.generators else 1
         return exponent == G.order
-    from .structure import _conjugacy_class_reps
     return any(rep.order() == G.order
                for rep in _conjugacy_class_reps(G, budget))
 
@@ -171,43 +162,15 @@ def _cyclic_within_budget(G, budget):
 def _any_pair_generates(G, budget):
     """Exhaustive 2-generation test over (class representative, element up
     to centralizer conjugacy) pairs."""
-    from .structure import _conjugacy_class_reps
     els = G.elements(limit=budget)
-    index = {p.images.tobytes(): i for i, p in enumerate(els)}
-    reps = _conjugacy_class_reps(G, budget)
-    for a in reps:
+    for a in _conjugacy_class_reps(G, budget):
         # orbits of the centralizer of a by conjugation cover the pairs (a, b)
-        cz_gens = [x for x in els if (x * a) == (a * x)]
-        # reduce to a small generating set of the centralizer
-        cz_small = []
-        chain = None
-        target = len(cz_gens)
-        for x in sorted(cz_gens, key=lambda q: -q.order()):
-            if x.is_identity():
-                continue
-            if chain is not None and chain.contains(x):
-                continue
-            cz_small.append(x)
-            chain = StabilizerChain(G.degree, cz_small)
-            if chain.order == target:
-                break
-        conj = [(g, g.inv()) for g in cz_small]
-        covered = [False] * len(els)
-        for bi, b in enumerate(els):
-            if covered[bi]:
-                continue
-            frontier = [b]
-            covered[bi] = True
-            while frontier:
-                x = frontier.pop()
-                for g, ginv in conj:
-                    y = ginv * x * g
-                    j = index[y.images.tobytes()]
-                    if not covered[j]:
-                        covered[j] = True
-                        frontier.append(y)
-            if _generates(G, [a, b]):
-                return True
+        cz = [x for x in els if (x * a) == (a * x)]
+        cz_small = small_generating_set(
+            G.degree, sorted(cz, key=lambda q: -q.order()), len(cz))
+        if any(generates(G, [a, b])
+               for b in _conjugation_orbit_reps(els, cz_small)):
+            return True
     return False
 
 

@@ -15,8 +15,6 @@ the conjugation orbit.
 
 from __future__ import annotations
 
-from math import prod
-
 import numpy as np
 
 from .bsgs import LimitExceeded

@@ -23,7 +23,7 @@ import random
 
 import numpy as np
 
-from .bsgs import StabilizerChain, _compose, _invert
+from .bsgs import StabilizerChain, _compose
 from .perms import Permutation
 
 _VEC_DTYPE = np.int16

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from .bsgs import LimitExceeded, StabilizerChain
+from .group import generates
 from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
 from .structure import RefusedComputation
 
@@ -69,17 +69,9 @@ def _phi_brute(G, d):
     els = G.elements(limit=BRUTE_TUPLE_BUDGET)
     count = 0
     for tup in product(els, repeat=d):
-        if _tuple_generates(G, list(tup)):
+        if generates(G, list(tup)):
             count += 1
     return count
-
-
-def _tuple_generates(G, perms):
-    try:
-        chain = StabilizerChain(G.degree, perms, known_order=G.order)
-    except ValueError:
-        return False
-    return chain.order == G.order
 
 
 def gen_prob(G, k, lattice_limit=DEFAULT_ORDER_LIMIT):
@@ -109,12 +101,12 @@ def gen_prob_mc(G, k, trials, seed, workers=4):
         for _ in range(share):
             tup = [G.uniform_random(rng) for _ in range(k)]
             if memo is None:
-                ok = _tuple_generates(G, tup)
+                ok = generates(G, tup)
             else:
                 key = tuple(p.images.tobytes() for p in tup)
                 ok = memo.get(key)
                 if ok is None:
-                    ok = memo[key] = _tuple_generates(G, tup)
+                    ok = memo[key] = generates(G, tup)
             if ok:
                 hits += 1
     p = hits / trials
@@ -124,7 +116,7 @@ def gen_prob_mc(G, k, trials, seed, workers=4):
 
 
 def _tuple_memo(G, k):
-    """Answers of `_tuple_generates` kept on the handle, or None.
+    """Answers of `generates` kept on the handle, or None.
 
     Whether a tuple generates depends on the tuple alone.  A small group
     draws the same tuples again and again; a large one almost never does,

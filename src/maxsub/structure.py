@@ -25,16 +25,16 @@ from math import lcm
 
 import numpy as np
 
-from .bsgs import LimitExceeded, StabilizerChain, _compose
-from .group import (GroupHandle, coset_action, coset_canonical, coset_table,
+from .bsgs import StabilizerChain, _compose
+from .group import (DEFAULT_COSET_LIMIT, GroupHandle, commutators,
+                    coset_action, coset_position, coset_table,
                     group_from_generators, is_abelian, is_normal,
-                    kernel_of_action, normal_closure,
-                    stabilizer_of_action_point)
-from .modules import (ElementaryLayer, SectionSpace, intertwiner_space_dim,
-                      minimal_submodule)
+                    kernel_of_action_schreier, normal_closure,
+                    small_generating_set, stabilizer_of_action_point)
+from .modules import (_VEC_DTYPE, ElementaryLayer, SectionSpace,
+                      intertwiner_space_dim, minimal_submodule)
 from .perms import Permutation
 from .simptable import prime_factors, prime_power_split, split_simple_power
-from .tables import element_table
 
 ELEMENT_BUDGET = 40000
 SECTION_DIM_CAP = 48
@@ -95,26 +95,9 @@ class FactorAction:
     def __init__(self, G, H, K):
         self.parent = G
         Kchain = K.chain
-        ident = np.arange(G.degree, dtype=np.int32)
-        first = coset_canonical(Kchain, ident)
-        reps = [first]
-        index_of = {first.tobytes(): 0}
-        hgens = [h.images for h in H.generators if not h.is_identity()]
-        head = 0
         n = H.order // K.order
-        while head < len(reps):
-            r = reps[head]
-            head += 1
-            for harr in hgens:
-                nxt = coset_canonical(Kchain, _compose(r, harr))
-                key = nxt.tobytes()
-                if key not in index_of:
-                    index_of[key] = len(reps)
-                    reps.append(nxt)
-        if len(reps) != n:
-            raise RuntimeError("factor coset enumeration mismatch")
-        self.reps = reps
-        self.index_of = index_of
+        reps, index_of, _ = coset_table(
+            [h.images for h in H.generators if not h.is_identity()], Kchain, n)
         self.n = n
 
         def conj_array(g):
@@ -122,8 +105,8 @@ class FactorAction:
             ginv = g.inv().images
             out = np.empty(n, dtype=np.int32)
             for j, r in enumerate(reps):
-                img = coset_canonical(Kchain, _compose(_compose(ginv, r), garr))
-                out[j] = index_of[img.tobytes()]
+                out[j] = coset_position(Kchain, index_of,
+                                        _compose(_compose(ginv, r), garr))
             return out
 
         self._conj_array = conj_array
@@ -137,17 +120,21 @@ class FactorAction:
             self.n, [Permutation(a) for a in self.gen_arrays], name=name)
 
     def kernel(self):
-        from .group import kernel_of_action_schreier
         return kernel_of_action_schreier(self.parent, self.gen_arrays, self.n)
 
 
 # -- general small-group helpers ----------------------------------------------
 
 def _conjugacy_class_reps(G, budget=ELEMENT_BUDGET):
-    els = G.elements(limit=budget)
+    return _conjugation_orbit_reps(G.elements(limit=budget), G.generators)
+
+
+def _conjugation_orbit_reps(els, gens):
+    """First member, in list order, of each orbit of <gens> acting by
+    conjugation on an element list closed under that action."""
     index = {p.images.tobytes(): i for i, p in enumerate(els)}
     seen = [False] * len(els)
-    conj = [(g, g.inv()) for g in G.generators]
+    conj = [(g, g.inv()) for g in gens]
     reps = []
     for i, p in enumerate(els):
         if seen[i]:
@@ -183,38 +170,23 @@ def minimal_normal_subgroups(G, budget=ELEMENT_BUDGET):
         if rep.is_identity():
             continue
         N = normal_closure(G, [rep])
-        if not any(M.order == N.order and N.contains(M.generators[0] if M.generators else M.identity())
+        if not any(M.order == N.order
                    and all(N.contains(g) for g in M.generators)
                    for M in closures):
             closures.append(N)
-    out = []
-    for N in closures:
-        minimal = True
-        for M in closures:
-            if M.order < N.order and all(N.contains(g) for g in M.generators):
-                minimal = False
-                break
-        if minimal:
-            out.append(N)
-    # dedupe identical subgroups
-    dedup = []
-    for N in out:
-        if not any(D.order == N.order and all(D.contains(g) for g in N.generators)
-                   for D in dedup):
-            dedup.append(N)
-    return sorted(dedup, key=lambda H: (H.order,
-                                        tuple(g.key() for g in H.generators)))
+    # the closures are distinct, so the minimal ones need no second dedupe
+    out = [N for N in closures
+           if not any(M.order < N.order
+                      and all(N.contains(g) for g in M.generators)
+                      for M in closures)]
+    return sorted(out, key=lambda H: (H.order,
+                                      tuple(g.key() for g in H.generators)))
 
 
 # -- chief series --------------------------------------------------------------
 
 def _section_is_abelian(W, K):
-    gens = W.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if not K.contains(a.inv() * b.inv() * a * b):
-                return False
-    return True
+    return all(K.contains(c) for c in commutators(W.generators))
 
 
 def _order_mod(K, w):
@@ -301,12 +273,7 @@ def _derived_over(G, N, W):
     """
     DW = W._cache.get("derived_in_parent")
     if DW is None:
-        gens = list(W.generators)
-        comms = []
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                comms.append(a.inv() * b.inv() * a * b)
-        DW = normal_closure(G, comms)
+        DW = normal_closure(G, commutators(W.generators))
         W._cache["derived_in_parent"] = DW
     if all(N.contains(g) for g in DW.generators):
         return N
@@ -370,20 +337,14 @@ def _peel_orbits(G, N, W, rng):
         if len(pts) == 1:
             continue
         pos = {p: i for i, p in enumerate(pts)}
-        wgens = [Permutation(_restrict(g.images, pts, pos))
-                 for g in W.chain.strong_generators()]
-        ngens = [Permutation(_restrict(g.images, pts, pos))
-                 for g in N.chain.strong_generators()]
-        JW = group_from_generators(len(pts), wgens or [Permutation.identity(len(pts))])
-        JN = group_from_generators(len(pts), ngens or [Permutation.identity(len(pts))])
+        JW, JN = _orbit_image_groups(pts, pos, W, N)
         if JW.order == JN.order:
             continue
         # X = preimage in W of J_N under restriction
+        rws = [Permutation(_restrict(w.images, pts, pos))
+               for w in W.generators]
         act = coset_action(JW, JN)
-        arrays = []
-        for w in W.generators:
-            rw = Permutation(_restrict(w.images, pts, pos))
-            arrays.append(act.map.apply(rw).images)
+        arrays = [act.map.apply(rw).images for rw in rws]
         X = stabilizer_of_action_point(W, arrays, act.quotient.degree, point=0)
         if N.order < X.order < W.order:
             if not is_normal(G, X):
@@ -391,29 +352,25 @@ def _peel_orbits(G, N, W, rng):
             return ("descend", X)
         if X.order == N.order:
             # W/N embeds in J_W/J_N; find a minimal G-invariant step there
-            jg = [Permutation(_restrict(g.images, pts, pos))
-                  for g in G.generators]
-            S = _minimal_invariant_normal_over(JW, JN, jg)
+            JG = GroupHandle(len(pts), list(JW.generators) + [
+                Permutation(_restrict(g.images, pts, pos))
+                for g in G.generators])
+            S = _minimal_invariant_normal_over(JG, JW, JN)
             act2 = coset_action(JW, S)
-            arrays2 = []
-            for w in W.generators:
-                rw = Permutation(_restrict(w.images, pts, pos))
-                arrays2.append(act2.map.apply(rw).images)
+            arrays2 = [act2.map.apply(rw).images for rw in rws]
             X2 = stabilizer_of_action_point(W, arrays2, act2.quotient.degree,
                                             point=0)
             return ("chief", X2)
     return None
 
 
-def _minimal_invariant_normal_over(JW, JN, jg_perms):
-    """Smallest S with J_N < S <= J_W, S normalized by J_W and by the given
-    outer permutations (all small-group work).
+def _minimal_invariant_normal_over(JG, JW, JN):
+    """Smallest S with J_N < S <= J_W, S normalized by the invariance group
+    J_G (all small-group work; J_G contains J_W).
 
     A minimal such S is the invariant closure of J_N and any x in S - J_N,
     and every such x is J_W-conjugate to a class representative, so the
     smallest closure over the representatives is already minimal."""
-    JG = group_from_generators(JW.degree,
-                               list(JW.generators) + list(jg_perms))
     best = None
     for rep in _conjugacy_class_reps(JW):
         if JN.contains(rep):
@@ -439,15 +396,8 @@ def _materialize_step(G, N, W, coset_limit):
     Wbar = Q.subgroup([act.map.apply(w) for w in W.generators])
     if Wbar.order == 1:
         return None
-    # the smallest closure of a class representative of Wbar is a minimal
-    # normal subgroup of Q (see _minimal_invariant_normal_over)
-    target = None
-    for rep in _conjugacy_class_reps(Wbar, ELEMENT_BUDGET):
-        if rep.is_identity():
-            continue
-        S = normal_closure(Q, [rep])
-        if target is None or S.order < target.order:
-            target = S
+    target = _minimal_invariant_normal_over(
+        Q, Wbar, Q.subgroup([], known_order=1))
     # pull back: G acts on cosets of target in Q through the quotient map
     act2 = coset_action(Q, target)
     arrays = [act2.map.apply(act.map.gen_images[i]).images
@@ -514,37 +464,34 @@ def _abelian_centralizer(G, d):
     """Kernel of the conjugation action on the factor (read from the action
     matrices: points of the factor are its p^dim vectors).  Built through
     Schreier generators so no full chain of G is rebuilt."""
-    from .group import kernel_of_action_schreier
-    space = d.space
-    p, dim = d.prime, d.dim
-    npoints = p ** dim
-    arrays = []
-    for M in space.gen_matrices:
-        out = np.empty(npoints, dtype=np.int32)
-        for i, v in enumerate(_all_vecs(p, dim)):
-            img = (np.array(v, dtype=np.int64) @ M) % p
-            out[i] = _vec_code(img, p, dim)
-        arrays.append(out)
-    return kernel_of_action_schreier(G, arrays, npoints)
+    vecs = _vectors(d.prime, d.dim)
+    arrays = _matrix_actions(vecs, d.prime, d.space.gen_matrices)
+    return kernel_of_action_schreier(G, arrays, len(vecs))
 
 
-def _all_vecs(p, dim):
-    out = []
-    for code in range(p ** dim):
-        v = []
-        c = code
-        for _ in range(dim):
-            v.append(c % p)
-            c //= p
-        out.append(tuple(v))
-    return out
+def _vectors(p, dim):
+    """All p**dim vectors of GF(p)^dim as the rows of an int64 table, row i
+    holding the base-p digits of i, least significant first (so a row's
+    code is its index).  Refused above the coset limit, before any
+    allocation."""
+    n = p ** dim
+    if n > DEFAULT_COSET_LIMIT:
+        raise RefusedComputation(
+            f"GF({p})^{dim} has {n} vectors, above the coset limit "
+            f"{DEFAULT_COSET_LIMIT}")
+    codes = np.arange(n, dtype=np.int64)
+    return codes[:, None] // p ** np.arange(dim, dtype=np.int64) % p
 
 
-def _vec_code(v, p, dim):
-    code = 0
-    for i in range(dim - 1, -1, -1):
-        code = code * p + int(v[i]) % p
-    return code
+def _vector_codes(rows, p):
+    """Code of each row of an integer table, its entries read mod p."""
+    return (rows % p) @ p ** np.arange(rows.shape[1], dtype=np.int64)
+
+
+def _matrix_actions(vecs, p, mats):
+    """Permutation arrays of v -> vM on the codes of `vecs`, one per M."""
+    return [_vector_codes(vecs @ M.astype(np.int64), p).astype(np.int32)
+            for M in mats]
 
 
 def _disambiguate_simple(G, H, K, names):
@@ -576,12 +523,8 @@ COMPLEMENT_TUPLE_BUDGET = 1 << 16
 def _abelian_coset_lifts(d):
     """Lift of every element of the factor (one per coset), via the section
     space; index 0 is the identity coset."""
-    space = d.space
-    from .modules import _VEC_DTYPE
-    lifts = []
-    for v in _all_vecs(d.prime, d.dim):
-        lifts.append(space.lift(np.array(v, dtype=_VEC_DTYPE)))
-    return lifts
+    return [d.space.lift(v.astype(_VEC_DTYPE))
+            for v in _vectors(d.prime, d.dim)]
 
 
 def complement_solution_count(G, H, K, budget=COMPLEMENT_TUPLE_BUDGET,
@@ -619,7 +562,7 @@ def complement_solution_count(G, H, K, budget=COMPLEMENT_TUPLE_BUDGET,
     return count
 
 
-def _orbit_image_groups(G, pts, pos, *subgroups):
+def _orbit_image_groups(pts, pos, *subgroups):
     out = []
     for S in subgroups:
         gens = [Permutation(_restrict(g.images, pts, pos))
@@ -657,7 +600,7 @@ def _orbit_supplement_search(G, H, K, lattice_cap=2000):
         JG, lat = _orbit_image_lattice(G, oi, pts, pos, lattice_cap)
         if lat is None:
             continue
-        JH, JK = _orbit_image_groups(G, pts, pos, H, K)
+        JH, JK = _orbit_image_groups(pts, pos, H, K)
         if JH.order == JK.order:
             continue
         table = lat.table
@@ -725,7 +668,8 @@ def group_isomorphisms(A, B, limit=None, budget=200000):
     if A.order != B.order:
         return
     els_a = A.elements(limit=ELEMENT_BUDGET)
-    gens = _small_generating_set(A)
+    gens = small_generating_set(
+        A.degree, sorted(A.generators, key=lambda p: -p.order()), A.order)
     b_els = B.elements(limit=ELEMENT_BUDGET)
     orders_b = {}
     for p in b_els:
@@ -785,30 +729,6 @@ def group_isomorphisms(A, B, limit=None, budget=200000):
             limit -= 1
             if limit <= 0:
                 return
-
-
-def _small_generating_set(A):
-    gens = []
-    chain = None
-    for g in sorted(A.generators, key=lambda p: -p.order()):
-        if g.is_identity():
-            continue
-        if chain is not None and chain.contains(g):
-            continue
-        gens.append(g)
-        chain = StabilizerChain(A.degree, gens)
-        if chain.order == A.order:
-            break
-    if chain is None or chain.order != A.order:
-        # fall back to accumulating strong generators
-        for g in A.chain.strong_generators():
-            if chain is not None and chain.contains(g):
-                continue
-            gens.append(g)
-            chain = StabilizerChain(A.degree, gens)
-            if chain.order == A.order:
-                break
-    return gens
 
 
 def g_connected(G, f1, f2, element_budget=ELEMENT_BUDGET):
@@ -916,7 +836,8 @@ def _is_maximal_by_cosets(Q, U):
     computed for one b in each orbit of U (Atkinson, Math. Comp. 29, 1975)."""
     index = Q.order // U.order
     Uchain = U.chain
-    reps, index_of, actions = coset_table(Q, Uchain, index)
+    reps, index_of, actions = coset_table(
+        [g.images for g in Q.generators], Uchain, index)
     uarrs = [u.images for u in Uchain.strong_generators()]
     seen = [False] * index
     seen[0] = True
@@ -929,8 +850,7 @@ def _is_maximal_by_cosets(Q, U):
         orbit = [b]
         for x in orbit:
             for ua in uarrs:
-                img = coset_canonical(Uchain, _compose(reps[x], ua))
-                y = index_of[img.tobytes()]
+                y = coset_position(Uchain, index_of, _compose(reps[x], ua))
                 if not seen[y]:
                     seen[y] = True
                     orbit.append(y)
@@ -1055,24 +975,14 @@ def associated_primitive(G, d):
     for abelian factors, the centralizer quotient for non-abelian ones."""
     if not d.abelian:
         return d.factor_action.image_group(name="associated-primitive")
-    p, dim = d.prime, d.dim
-    npoints = p ** dim
-    vecs = _all_vecs(p, dim)
-    code = {v: i for i, v in enumerate(vecs)}
-    gens = []
-    for k in range(dim):
-        arr = np.empty(npoints, dtype=np.int32)
-        for v, i in code.items():
-            w = list(v)
-            w[k] = (w[k] + 1) % p
-            arr[i] = code[tuple(w)]
-        gens.append(Permutation(arr))
-    for M in d.space.gen_matrices:
-        arr = np.empty(npoints, dtype=np.int32)
-        for v, i in code.items():
-            img = tuple((np.array(v, dtype=np.int64) @ M) % p)
-            arr[i] = code[img]
-        gens.append(Permutation(arr))
+    p = d.prime
+    vecs = _vectors(p, d.dim)
+    npoints = len(vecs)
+    # translations by the unit vectors, then the linear action
+    gens = [Permutation(_vector_codes(vecs + e, p))
+            for e in np.eye(d.dim, dtype=np.int64)]
+    gens += [Permutation(a)
+             for a in _matrix_actions(vecs, p, d.space.gen_matrices)]
     P = group_from_generators(npoints, gens, name="associated-primitive")
     expected = npoints * (G.order // d.centralizer.order)
     if P.order != expected:

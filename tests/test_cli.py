@@ -152,3 +152,22 @@ def test_command_leaves_no_cyclic_garbage(capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_analyze_without_d_leaves_bounds_null(capsys, monkeypatch):
+    import maxsub.invariants
+
+    def no_tuple_found(G, *args, **kwargs):
+        return maxsub.invariants.MinGenResult(None, 2, None, False)
+
+    monkeypatch.setattr(maxsub.invariants, "min_generators", no_tuple_found)
+    code, out, err = run_cli(capsys, "analyze", "sym:4")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["profile"]["d"] is None
+    m_exact = payload["profile"]["m_exact"]
+    assert payload["bounds"]
+    for row in payload["bounds"]:
+        assert row["bound_mn"] is None and row["bound_lubotzky"] is None
+        assert row["m_exact"] == m_exact.get(str(row["n"]), 0)
+    assert payload["nu"]["notes"]["eta"] == "skipped: no certified d"

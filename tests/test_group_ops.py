@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxsub.bsgs import LimitExceeded
 from maxsub.catalog import agl18, agl32, alt, builtin, cyc, dih, psl27, sl23, sym
 from maxsub.group import (centralizer, core, coset_action, derived_subgroup,
                           direct_product, group_from_generators, is_normal,
-                          normal_closure, trivial_group)
+                          normal_closure, small_generating_set,
+                          trivial_group)
 from maxsub.perms import Permutation, parse_cycles
 
 from oracles import naive_centralizer, naive_closure, naive_order
@@ -176,3 +178,35 @@ def test_pr_sampler_members():
     stream = G.pr_sampler(99)
     for _ in range(50):
         assert G.contains(next(stream))
+
+
+@st.composite
+def _candidates(draw):
+    degree = draw(st.integers(min_value=1, max_value=9))
+    perm = st.permutations(list(range(degree))).map(Permutation)
+    return degree, draw(st.lists(perm, min_size=0, max_size=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_candidates())
+def test_small_generating_set_matches_sympy(case):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    degree, candidates = case
+
+    def sympy_perm(p):
+        return combinatorics.Permutation(p.images.tolist())
+
+    def sympy_group(perms):
+        return combinatorics.PermutationGroup(
+            [sympy_perm(p) for p in perms]
+            or [combinatorics.Permutation(list(range(degree)))])
+
+    order = sympy_group(candidates).order()
+    gens = small_generating_set(degree, candidates, order)
+    rest = iter(candidates)
+    assert all(any(g is c for c in rest) for g in gens)   # candidates' order
+    assert sympy_group(gens).order() == order
+    for i, g in enumerate(gens):
+        assert not sympy_group(gens[:i]).contains(sympy_perm(g))
+    with pytest.raises(RuntimeError):
+        small_generating_set(degree, candidates, 2 * order)

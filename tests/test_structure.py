@@ -301,3 +301,63 @@ def test_complement_budget_checked_before_section_space(monkeypatch):
     monkeypatch.setattr(maxsub.structure, "SectionSpace", no_space)
     with pytest.raises(RefusedComputation):
         complement_solution_count(G, H, K, budget=1)
+
+
+@pytest.mark.parametrize("lower, upper, expected", [
+    ("1", "A4", 4), ("V4", "A4", 12), ("A4", "S4", 24)])
+def test_materialize_step_s4(lower, upper, expected):
+    from maxsub.group import derived_subgroup
+    from maxsub.structure import _materialize_step
+    G = sym(4)
+    A4 = derived_subgroup(G)
+    named = {"1": G.subgroup([], known_order=1), "V4": derived_subgroup(A4),
+             "A4": A4, "S4": G}
+    X = _materialize_step(G, named[lower], named[upper], 20000)
+    assert X.order == expected
+    assert is_normal(G, X)
+
+
+def test_vector_tables_match_loop_reference():
+    import random
+
+    import numpy as np
+    from maxsub.structure import _matrix_actions, _vector_codes, _vectors
+
+    def digits(code, p, dim):
+        out = []
+        for _ in range(dim):
+            out.append(code % p)
+            code //= p
+        return out
+
+    def code_of(v, p):
+        code = 0
+        for x in reversed(v):
+            code = code * p + int(x) % p
+        return code
+
+    rng = random.Random(5)
+    for p, dim in [(2, 1), (2, 4), (3, 2), (5, 2), (7, 1)]:
+        vecs = _vectors(p, dim)
+        assert vecs.tolist() == [digits(c, p, dim) for c in range(p ** dim)]
+        assert _vector_codes(vecs, p).tolist() == list(range(p ** dim))
+        mats = [np.array([[rng.randrange(p) for _ in range(dim)]
+                          for _ in range(dim)], dtype=np.int16)
+                for _ in range(2)]
+        for M, arr in zip(mats, _matrix_actions(vecs, p, mats)):
+            assert arr.tolist() == [
+                code_of(np.array(v, dtype=np.int64) @ M, p)
+                for v in vecs.tolist()]
+
+
+def test_vectors_refused_above_coset_limit():
+    from maxsub.structure import (ChiefFactorDescriptor, NormalSection,
+                                  _abelian_centralizer, _abelian_coset_lifts)
+    G = sym(4)
+    d = ChiefFactorDescriptor(NormalSection(G, G, G.subgroup([], known_order=1)))
+    d.abelian, d.prime, d.dim = True, 2, 15
+    for build in (lambda: _abelian_centralizer(G, d),
+                  lambda: _abelian_coset_lifts(d),
+                  lambda: associated_primitive(G, d)):
+        with pytest.raises(RefusedComputation, match="32768 vectors"):
+            build()
