@@ -8,11 +8,10 @@ from .group import (GroupHandle, Epimorphism, core, coset_action,
                     direct_product, group_from_generators, is_normal,
                     normal_closure)
 from .perms import Permutation, format_cycles, parse_cycles
-from .structure import RefusedComputation
 
 __all__ = [
     "LimitExceeded", "StabilizerChain", "GroupHandle", "Epimorphism",
     "core", "coset_action", "direct_product", "group_from_generators",
     "is_normal", "normal_closure", "Permutation", "format_cycles",
-    "parse_cycles", "RefusedComputation", "__version__",
+    "parse_cycles", "__version__",
 ]

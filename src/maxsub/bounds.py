@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .simptable import DEFAULT_CAP, is_prime_power, power_of_simple_order
+from .group import coset_action
+from .lattice import maximal_subgroups
+from .simptable import is_prime_power, power_of_simple_order
 
 SLACK = 1e-9
 NEG_INF = float("-inf")
@@ -30,10 +32,10 @@ class IndexClass:
         return f"<n={self.n} T={self.in_T} S={self.in_S}>"
 
 
-def classify_index(n, cap=DEFAULT_CAP):
+def classify_index(n):
     if n < 2:
         raise ValueError("index classification needs n >= 2")
-    return IndexClass(n, is_prime_power(n), power_of_simple_order(n, cap))
+    return IndexClass(n, is_prime_power(n), power_of_simple_order(n))
 
 
 class BoundReport:
@@ -63,7 +65,7 @@ class BoundReport:
         }
 
 
-def bound_mn(prof, n, cap=DEFAULT_CAP):
+def bound_mn(prof, n):
     """Case-selected bound on the number of index-n maximal subgroups,
     plus the two comparison bounds (left null when the profile has no d,
     as `eta_kappa` leaves eta)."""
@@ -74,7 +76,7 @@ def bound_mn(prof, n, cap=DEFAULT_CAP):
     d = prof.d
     if d is None:
         return rep
-    cls = classify_index(n, cap)
+    cls = classify_index(n)
     cr = prof.cr_ab.get(n, 0)
     rks = prof.rks.get(n, 0)
     rko = prof.rko.get(n, 0)
@@ -166,7 +168,7 @@ def _logn(n, x):
     return math.log2(x) / math.log2(n)
 
 
-def eta_kappa(prof, cap=DEFAULT_CAP, mroute_indices=None):
+def eta_kappa(prof, mroute_indices=None):
     """The two new generation bounds plus the comparison routes.
 
     The log_n 2 terms are kept exactly when the corresponding pair of
@@ -187,7 +189,7 @@ def eta_kappa(prof, cap=DEFAULT_CAP, mroute_indices=None):
     for n, cr in prof.cr_ab.items():
         if cr <= 0:
             continue
-        cls = classify_index(n, cap)
+        cls = classify_index(n)
         if not cls.in_T:
             continue
         extra = _logn(n, 2) if cr * prof.rks.get(n, 0) != 0 else 0.0
@@ -196,7 +198,7 @@ def eta_kappa(prof, cap=DEFAULT_CAP, mroute_indices=None):
     for n, rks in prof.rks.items():
         if rks <= 0:
             continue
-        cls = classify_index(n, cap)
+        cls = classify_index(n)
         pair = (cls.in_T and prof.cr_ab.get(n, 0) * rks != 0) or \
                (cls.in_S is True and rks * prof.rko.get(n, 0) != 0) or \
                (cls.in_S is None and rks * prof.rko.get(n, 0) != 0)
@@ -207,7 +209,7 @@ def eta_kappa(prof, cap=DEFAULT_CAP, mroute_indices=None):
     for n, rko in prof.rko.items():
         if rko <= 0:
             continue
-        cls = classify_index(n, cap)
+        cls = classify_index(n)
         if cls.in_S is False:
             continue
         rkm = prof.rkm.get(n, 0)
@@ -253,15 +255,13 @@ def _fill_comparison_routes(rep, prof, mroute_indices):
             rep.dl_bound = math.floor(prof.d + 5.02 + SLACK)
 
 
-def check_b2(G, lattice_limit=2000, coset_limit=20000):
+def check_b2(G):
     """Per primitive quotient of G: core-free maximal counts versus n^2."""
-    from .group import coset_action
-    from .lattice import maximal_subgroups
     if G.order == 1:
         return []
     results = []
     seen_cores = set()
-    for rec in maximal_subgroups(G, lattice_limit):
+    for rec in maximal_subgroups(G):
         core_key = rec.core_mask
         if core_key in seen_cores:
             continue
@@ -269,9 +269,9 @@ def check_b2(G, lattice_limit=2000, coset_limit=20000):
         if rec.core.order == 1:
             Q = G
         else:
-            Q = coset_action(G, rec.core, limit=coset_limit).quotient
+            Q = coset_action(G, rec.core).quotient
         counts = {}
-        for qrec in maximal_subgroups(Q, lattice_limit):
+        for qrec in maximal_subgroups(Q):
             if qrec.core.order == 1:
                 counts[qrec.index] = counts.get(qrec.index, 0) + \
                     qrec.class_ref.class_size

@@ -55,8 +55,7 @@ class StabilizerChain:
     soon as the chain reaches that order.
     """
 
-    def __init__(self, degree, gens, base_prefix=(), known_order=None,
-                 random_prepass=True):
+    def __init__(self, degree, gens, base_prefix=(), known_order=None):
         self.degree = degree
         self.base_prefix = tuple(base_prefix)
         # strong generators: list of (home_level, arr, inv_arr)
@@ -72,17 +71,17 @@ class StabilizerChain:
             if len(arr) != degree:
                 raise ValueError("generator degree mismatch")
             seed_arrays.append(arr)
-        self._build(seed_arrays, known_order, random_prepass)
+        self._build(seed_arrays, known_order)
 
     # -- construction -----------------------------------------------------
 
-    def _build(self, arrays, known_order, random_prepass):
+    def _build(self, arrays, known_order):
         for arr in arrays:
             self._insert_gen(arr)
         if known_order is not None and self._orbit_product() == known_order:
             self._order = known_order
             return
-        if random_prepass and arrays:
+        if arrays:
             self._random_prepass(arrays, known_order)
             if known_order is not None and self._orbit_product() == known_order:
                 self._order = known_order
@@ -351,11 +350,6 @@ class StabilizerChain:
         if p.degree != self.degree:
             return False
         return self.contains_arr(p.images)
-
-    def sift(self, p):
-        """Residue of p after reduction (None when p is a member)."""
-        residue, _ = self._sift_arr(p.images)
-        return None if residue is None else Permutation(residue)
 
     def strong_generators(self):
         out = [Permutation(arr) for _, arr, _ in self.sgens]

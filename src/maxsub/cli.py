@@ -33,12 +33,14 @@ from . import __version__
 from .bounds import bound_mn, eta_kappa, markdown_bound_table
 from .bsgs import LimitExceeded
 from .catalog import builtin
-from .constructions import build_Lk, hat, subdirect, tuple_orbits
+from .constructions import (MATERIALIZE_DEGREE_LIMIT, build_Lk, hat,
+                            subdirect, tuple_orbits)
 from .group import direct_product, group_from_generators, is_abelian
 from .invariants import profile
+from .lattice import DEFAULT_ORDER_LIMIT
 from .perms import format_cycles, parse_cycles
 from .probgen import NuBracket, nu
-from .structure import RefusedComputation, minimal_normal_subgroups
+from .structure import minimal_normal_subgroups
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -63,8 +65,12 @@ def _split_top(text, sep):
 
 
 def parse_spec(text, limits=None):
-    """Resolve a group spec string to a handle (recursively)."""
-    limits = limits or {}
+    """Resolve a group spec string to a handle (recursively).
+
+    `limits` holds the "lattice" and "materialize_degree" limits that the
+    hat construction obeys; the defaults are the CLI's."""
+    limits = limits or {"lattice": DEFAULT_ORDER_LIMIT,
+                        "materialize_degree": MATERIALIZE_DEGREE_LIMIT}
     text = text.strip()
     if not text:
         raise SpecError("empty group spec")
@@ -107,8 +113,9 @@ def parse_spec(text, limits=None):
         if not dtxt.isdigit():
             raise SpecError(f"bad tuple arity {dtxt!r}")
         G = parse_spec(body, limits).resolved
-        limit = limits.get("materialize_degree", 1024)
-        H, census = hat(G, int(dtxt), materialize_degree_limit=limit)
+        limit = limits["materialize_degree"]
+        H, census = hat(G, int(dtxt), materialize_degree_limit=limit,
+                        lattice_limit=limits["lattice"])
         if H is None:
             raise LimitExceeded(
                 f"hat materialization needs degree "
@@ -145,11 +152,8 @@ def _tower_socle(L):
 def _provenance(args):
     return {
         "tool": f"maxsub {__version__}",
-        "seed": getattr(args, "seed", 0),
-        "limits": {
-            "lattice": getattr(args, "lattice_limit", 2000),
-            "materialize_degree": getattr(args, "materialize_limit", 1024),
-        },
+        "seed": args.seed,
+        "limits": _limits_of(args),
     }
 
 
@@ -258,7 +262,8 @@ def cmd_corpus(args):
 
 
 def _limits_of(args):
-    return {"materialize_degree": getattr(args, "materialize_limit", 1024)}
+    return {"lattice": args.lattice_limit,
+            "materialize_degree": args.materialize_limit}
 
 
 def build_parser():
@@ -267,8 +272,9 @@ def build_parser():
         description="Maximal-subgroup invariants, crowns, and generation "
                     "probabilities for finite permutation groups")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--lattice-limit", type=int, default=2000)
-    ap.add_argument("--materialize-limit", type=int, default=1024,
+    ap.add_argument("--lattice-limit", type=int, default=DEFAULT_ORDER_LIMIT)
+    ap.add_argument("--materialize-limit", type=int,
+                    default=MATERIALIZE_DEGREE_LIMIT,
                     help="degree cap for materializing hat constructions")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -313,7 +319,7 @@ def main(argv=None):
 def _run(args):
     try:
         return args.fn(args)
-    except (LimitExceeded, RefusedComputation) as e:
+    except LimitExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
     except SpecError as e:

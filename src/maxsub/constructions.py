@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import (GroupHandle, coset_action, generates,
-                    group_from_generators, is_abelian, is_normal,
+from .bsgs import LimitExceeded
+from .group import (DEFAULT_COSET_LIMIT, GroupHandle, coset_action,
+                    generates, group_from_generators, is_abelian, is_normal,
                     kernel_of_action, small_generating_set)
 from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
 from .modules import SectionSpace, intertwiner_space_dim, minimal_submodule
 from .perms import Permutation
 from .probgen import phi
-from .structure import RefusedComputation, complement_solution_count
+from .structure import complement_solution_count
 from .tables import element_table
 
 AUT_ELEMENT_BUDGET = 5000
+MATERIALIZE_DEGREE_LIMIT = 1024
 
 
 # -- towers ---------------------------------------------------------------------
@@ -128,8 +130,8 @@ def tower_quotient_fingerprint(tower_handle, L, N, k):
     q2 = act2.quotient
     if q1.order != q2.order:
         return False
-    f1 = sorted(p.order() for p in q1.elements(limit=20000))
-    f2 = sorted(p.order() for p in q2.elements(limit=20000))
+    f1 = sorted(p.order() for p in q1.elements(limit=DEFAULT_COSET_LIMIT))
+    f2 = sorted(p.order() for p in q2.elements(limit=DEFAULT_COSET_LIMIT))
     return f1 == f2
 
 
@@ -158,7 +160,7 @@ def _min_gens_of(L):
     from .invariants import min_generators
     r = min_generators(L)
     if not r.certified:
-        raise RefusedComputation("d(L) could not be certified")
+        raise LimitExceeded("d(L) could not be certified")
     return r.value
 
 
@@ -185,12 +187,16 @@ class AutomorphismGroup:
         return f"<Aut of order {self.order}>"
 
 
-def automorphisms(G, element_budget=AUT_ELEMENT_BUDGET):
+def automorphisms(G):
     """Exact automorphism group by certified generator-image search."""
     cached = G._cache.get("automorphisms")
     if cached is not None:
         return cached
-    T = element_table(G, limit=element_budget)
+    if G.order > AUT_ELEMENT_BUDGET:
+        raise LimitExceeded(
+            f"element table needs order <= {AUT_ELEMENT_BUDGET}, "
+            f"got {G.order}")
+    T = element_table(G)
     n = T.n
     mult = T.mult
     orders = T.orders
@@ -339,7 +345,7 @@ def generating_pair_codes(G, lattice_limit=DEFAULT_ORDER_LIMIT):
     for cls in lat.maximal_classes():
         maximal_masks.extend(cls.conjugate_masks)
     if len(maximal_masks) > 63:
-        raise RefusedComputation(
+        raise LimitExceeded(
             f"{len(maximal_masks)} maximal subgroups exceed the 63-bit "
             "membership scheme")
     member = np.zeros(n, dtype=np.uint64)
@@ -357,8 +363,7 @@ def generating_pair_codes(G, lattice_limit=DEFAULT_ORDER_LIMIT):
     return np.concatenate(codes), member
 
 
-def tuple_orbits(G, d, lattice_limit=DEFAULT_ORDER_LIMIT,
-                 element_budget=AUT_ELEMENT_BUDGET):
+def tuple_orbits(G, d, lattice_limit=DEFAULT_ORDER_LIMIT):
     """Decompose the generating d-tuples into orbits of Aut G.
 
     phi_d comes from Moebius inversion; the sweep runs over packed tuple
@@ -368,7 +373,7 @@ def tuple_orbits(G, d, lattice_limit=DEFAULT_ORDER_LIMIT,
     cached = G._cache.get(("tuple_orbits", d))
     if cached is not None:
         return cached
-    aut = automorphisms(G, element_budget)
+    aut = automorphisms(G)
     T = aut.table
     n = T.n
     phi_d = phi(G, d, lattice_limit)
@@ -483,7 +488,7 @@ def verify_subdirect_projections(H):
                for Gi, off in blocks)
 
 
-def hat(G, d, materialize_degree_limit=1024,
+def hat(G, d, materialize_degree_limit=MATERIALIZE_DEGREE_LIMIT,
         lattice_limit=DEFAULT_ORDER_LIMIT):
     """The subdirect product over one representative generating d-tuple per
     Aut-orbit.  Returns (handle or None, census); the handle is None when

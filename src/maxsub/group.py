@@ -85,34 +85,6 @@ class GroupHandle:
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         return self.chain.random_element(rng)
 
-    def pr_sampler(self, seed, scramble=30):
-        """Product-replacement (rattle) stream of pseudo-random elements."""
-        rng = random.Random(seed)
-        gens = [g.images for g in self.generators if not g.is_identity()]
-        if not gens:
-            while True:
-                yield self.identity()
-        slots = [g.copy() for g in gens]
-        slots += [np.arange(self.degree, dtype=np.int32) for _ in range(4)]
-        accu = np.arange(self.degree, dtype=np.int32)
-
-        def stir():
-            nonlocal accu
-            i = rng.randrange(len(slots))
-            j = rng.randrange(len(slots))
-            s = slots[j] if rng.random() < 0.5 else _invert(slots[j])
-            if rng.random() < 0.5:
-                slots[i] = _compose(slots[i], s)
-            else:
-                slots[i] = _compose(s, slots[i])
-            accu = _compose(accu, slots[i])
-
-        for _ in range(max(scramble, 4 * len(gens))):
-            stir()
-        while True:
-            stir()
-            yield Permutation(accu.copy())
-
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
         if self._chain is not None or self._known_order is not None:
@@ -138,28 +110,17 @@ class Epimorphism:
     """A surjective homomorphism given by generator images plus a concrete
     evaluation rule (needed to push arbitrary elements forward)."""
 
-    __slots__ = ("source", "target", "gen_images", "_apply_fn", "_kernel")
+    __slots__ = ("source", "target", "gen_images", "_apply_fn", "kernel")
 
-    def __init__(self, source, target, gen_images, apply_fn, kernel=None,
-                 verify=True):
+    def __init__(self, source, target, gen_images, apply_fn, kernel):
         self.source = source
         self.target = target
         self.gen_images = list(gen_images)
         self._apply_fn = apply_fn
-        self._kernel = kernel
-        if verify:
-            image = GroupHandle(target.degree, self.gen_images)
-            if image.order != target.order:
-                raise ValueError("generator images do not generate the target")
+        self.kernel = kernel
 
     def apply(self, p):
         return self._apply_fn(p)
-
-    @property
-    def kernel(self):
-        if self._kernel is None:
-            raise ValueError("kernel was not materialized for this map")
-        return self._kernel
 
     def check_orders(self):
         return self.kernel.order * self.target.order == self.source.order
@@ -323,23 +284,6 @@ def is_abelian(G):
                for i, a in enumerate(gens) for b in gens[i + 1:])
 
 
-def centralizer(G, H, element_limit=20000):
-    """C_G(H) by scanning the elements of G (desk-scale only)."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not contained in G")
-    if G.order > element_limit:
-        raise LimitExceeded(
-            f"centralizer scan needs order <= {element_limit}, got {G.order}")
-    gens = [h for h in H.generators]
-    out = []
-    for p in G.chain.iter_elements():
-        if all((p * h) == (h * p) for h in gens):
-            out.append(p)
-    out.sort(key=lambda q: q.key())
-    return G.subgroup(small_generating_set(G.degree, out, len(out)),
-                      known_order=len(out))
-
-
 def generates(G, perms):
     """Whether the permutations (elements of G) generate G."""
     try:
@@ -476,7 +420,7 @@ def coset_action(G, H, limit=DEFAULT_COSET_LIMIT):
 
     epi = Epimorphism(G, quotient,
                       [Permutation(a) for a in action_arrays],
-                      apply_fn, kernel=kernel, verify=False)
+                      apply_fn, kernel=kernel)
     return CosetAction(quotient, epi, kernel)
 
 
@@ -543,5 +487,5 @@ def direct_product(factors):
         ker_order = order // F.order
         kernel = P.subgroup(ker_gens, known_order=ker_order)
         projections.append(
-            Epimorphism(P, F, gen_images, apply_fn, kernel=kernel, verify=False))
+            Epimorphism(P, F, gen_images, apply_fn, kernel=kernel))
     return P, embeddings, projections

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import random
 
+from .bsgs import LimitExceeded
 from .group import (derived_subgroup, direct_product, generates, is_abelian,
                     small_generating_set)
-from .lattice import DEFAULT_ORDER_LIMIT, m_n_map, subgroup_classes
+from .lattice import (DEFAULT_ORDER_LIMIT, m_n_map, maximal_subgroups,
+                      subgroup_classes)
 from .simptable import is_prime
-from .structure import (RefusedComputation, _conjugacy_class_reps,
-                        _conjugation_orbit_reps,
+from .structure import (_conjugacy_class_reps, _conjugation_orbit_reps,
                         _has_diagonal_corefree_maximal, chief_series, crowns,
                         ensure_factor_flags)
 
@@ -99,8 +100,7 @@ class MinGenResult:
         return f"<d in [{self.lower}, {self.upper}] (uncertified)>"
 
 
-def min_generators(G, seed=0, element_budget=MIN_GEN_ELEMENT_BUDGET,
-                   lattice_limit=DEFAULT_ORDER_LIMIT):
+def min_generators(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
     """Exact minimal number of generators where certifiable.
 
     Random fast-accept for the upper bound, then certification: cyclicity
@@ -122,7 +122,7 @@ def min_generators(G, seed=0, element_budget=MIN_GEN_ELEMENT_BUDGET,
                 k += 1
             return MinGenResult(k, k, k, True)
     rng = random.Random(seed * 7919 + 11)
-    if _cyclic_within_budget(G, element_budget):
+    if _cyclic_within_budget(G):
         return MinGenResult(1, 1, 1, True)
     certified_lower = 2
     upper = None
@@ -139,15 +139,15 @@ def min_generators(G, seed=0, element_budget=MIN_GEN_ELEMENT_BUDGET,
                 return MinGenResult(None, certified_lower, None, False)
     if upper == certified_lower:
         return MinGenResult(upper, upper, upper, True)
-    if upper - 1 == 2 and G.order <= element_budget:
-        if not _any_pair_generates(G, element_budget):
+    if upper - 1 == 2 and G.order <= MIN_GEN_ELEMENT_BUDGET:
+        if not _any_pair_generates(G):
             return MinGenResult(upper, upper, upper, True)
         raise RuntimeError("pair scan contradicts random search")
     return MinGenResult(upper, certified_lower, upper, False)
 
 
-def _cyclic_within_budget(G, budget):
-    if G.order > budget:
+def _cyclic_within_budget(G):
+    if G.order > MIN_GEN_ELEMENT_BUDGET:
         # a huge group is cyclic only if abelian, and an abelian group is
         # cyclic exactly when its exponent equals its order
         if not is_abelian(G):
@@ -156,14 +156,14 @@ def _cyclic_within_budget(G, budget):
             if G.generators else 1
         return exponent == G.order
     return any(rep.order() == G.order
-               for rep in _conjugacy_class_reps(G, budget))
+               for rep in _conjugacy_class_reps(G, MIN_GEN_ELEMENT_BUDGET))
 
 
-def _any_pair_generates(G, budget):
+def _any_pair_generates(G):
     """Exhaustive 2-generation test over (class representative, element up
     to centralizer conjugacy) pairs."""
-    els = G.elements(limit=budget)
-    for a in _conjugacy_class_reps(G, budget):
+    els = G.elements(limit=MIN_GEN_ELEMENT_BUDGET)
+    for a in _conjugacy_class_reps(G, MIN_GEN_ELEMENT_BUDGET):
         # orbits of the centralizer of a by conjugation cover the pairs (a, b)
         cz = [x for x in els if (x * a) == (a * x)]
         cz_small = small_generating_set(
@@ -176,14 +176,14 @@ def _any_pair_generates(G, budget):
 
 # -- profile ------------------------------------------------------------------
 
-def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT, with_lattice=True):
+def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
     """Full invariant profile of a handle (assembled for products)."""
-    key = ("profile", seed, lattice_limit, with_lattice)
+    key = ("profile", seed, lattice_limit)
     got = G._cache.get(key)
     if got is not None:
         return got
     if G.product_factors:
-        prof = _assemble_product_profile(G, seed, lattice_limit, with_lattice)
+        prof = _assemble_product_profile(G, seed, lattice_limit)
         G._cache[key] = prof
         return prof
     prof = InvariantProfile()
@@ -231,7 +231,7 @@ def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT, with_lattice=True):
     else:
         prof.skipped["d"] = f"bracket [{mg.lower}, {mg.upper}]"
         prof.d = mg.upper
-    if with_lattice and G.order <= lattice_limit:
+    if G.order <= lattice_limit:
         prof.m_exact = m_n_map(G, lattice_limit)
         lat = subgroup_classes(G, lattice_limit)
         proper = [c for c in lat.classes if c.order < G.order]
@@ -263,12 +263,11 @@ def _corefree_maximal_indices(d, lattice_limit):
     """Indices of core-free maximal subgroups of the primitive group
     attached to a non-abelian chief factor (refused above the lattice
     limit: the bounds would read the missing rks as 0)."""
-    P = d.factor_action.image_group(name="associated-primitive")
+    P = d.factor_action.primitive
     if P.order > lattice_limit:
-        raise RefusedComputation(
+        raise LimitExceeded(
             f"rks needs the subgroup lattice of a primitive quotient of "
             f"order {P.order}, above the lattice limit {lattice_limit}")
-    from .lattice import maximal_subgroups
     out = set()
     for rec in maximal_subgroups(P, lattice_limit):
         if rec.core.order == 1:
@@ -354,10 +353,10 @@ def _partial_m_exact_product(G, profs, out):
 
 # -- assembled profiles for (sub)direct products --------------------------------
 
-def _assemble_product_profile(G, seed, lattice_limit, with_lattice):
+def _assemble_product_profile(G, seed, lattice_limit):
     factors = [F for F, _ in G.product_factors]
-    profs = [profile(F, seed=seed, lattice_limit=lattice_limit,
-                     with_lattice=with_lattice) for F in factors]
+    profs = [profile(F, seed=seed, lattice_limit=lattice_limit)
+             for F in factors]
     out = InvariantProfile()
     out.order = G.order
     out.r = sum(p.r for p in profs)
@@ -452,19 +451,16 @@ def _merge_nonabelian_crowns(factors, seed):
 def _cross_factor_connected(Fi, ci, Fj, cj):
     """Type-3 link between crowns of two distinct direct factors: the pair
     quotient is Pi x Pj and the diagonal test decides exactly."""
-    di, dj = ci.factor_class, cj.factor_class
-    Pi = di.factor_action.image_group()
-    Pj = dj.factor_action.image_group()
-    if Pi.order != Pj.order:
+    ai, aj = ci.factor_class.factor_action, cj.factor_class.factor_action
+    if ai.primitive.order != aj.primitive.order:
         return False
-    QQ, emb, _ = direct_product([Pi, Pj])
+    QQ, emb, _ = direct_product([ai.primitive, aj.primitive])
     QQ.chain
-    from .perms import Permutation
-    soc_i = QQ.subgroup([emb[0].apply(Permutation(di.factor_action.array_of(h)))
-                         for h in di.section.upper.generators])
-    soc_j = QQ.subgroup([emb[1].apply(Permutation(dj.factor_action.array_of(h)))
-                         for h in dj.section.upper.generators])
-    if soc_i.order != di.order or soc_j.order != dj.order:
+    soc_i = QQ.subgroup([emb[0].apply(ai.to_primitive(h))
+                         for h in ci.factor_class.section.upper.generators])
+    soc_j = QQ.subgroup([emb[1].apply(aj.to_primitive(h))
+                         for h in cj.factor_class.section.upper.generators])
+    if soc_i.order != ci.order or soc_j.order != cj.order:
         return False
     return _has_diagonal_corefree_maximal(QQ, soc_i, soc_j)
 
@@ -475,9 +471,9 @@ def m_n(G, n, lattice_limit=DEFAULT_ORDER_LIMIT):
     """Exact number of index-n maximal subgroups."""
     prof = profile(G, lattice_limit=lattice_limit)
     if prof.m_exact is None:
-        raise RefusedComputation("maximal enumeration unavailable")
+        raise LimitExceeded("maximal enumeration unavailable")
     if "m_exact" in prof.skipped and n not in prof.m_exact:
-        raise RefusedComputation(
+        raise LimitExceeded(
             f"m_{n} not provably computable without the lattice")
     return prof.m_exact.get(n, 0)
 
@@ -486,5 +482,5 @@ def script_M(G, lattice_limit=DEFAULT_ORDER_LIMIT):
     """Exact script-M: max over n of log_n m_n (None markers when partial)."""
     prof = profile(G, lattice_limit=lattice_limit)
     if "script_M" in prof.skipped:
-        raise RefusedComputation(prof.skipped["script_M"])
+        raise LimitExceeded(prof.skipped["script_M"])
     return prof.script_M

@@ -213,7 +213,8 @@ def subgroup_classes(G, order_limit=DEFAULT_ORDER_LIMIT):
     """Full lattice of G, refused (never truncated) above the order limit."""
     if G.order > order_limit:
         raise LimitExceeded(
-            f"subgroup enumeration needs order <= {order_limit}, got {G.order}")
+            f"subgroup enumeration needs order <= lattice limit "
+            f"{order_limit}, got {G.order}")
     lat = G._cache.get("lattice")
     if lat is None:
         lat = _build_lattice(G)
@@ -294,7 +295,7 @@ def _perfect_seed_scan(table):
 
 
 def _build_lattice(G):
-    table = element_table(G, limit=max(DEFAULT_ORDER_LIMIT + 48, G.order))
+    table = element_table(G)
     n = table.n
     conj_maps = [table.conj_map(g) for g in table.gen_indices]
     mult = table.mult

@@ -13,20 +13,24 @@ Two coordinate routes are provided:
   order p, coordinates extracted top-down by membership tests.
 
 Minimal-submodule search uses spinning with a deterministic, seeded vector
-schedule; irreducibility is certified exhaustively when p^dim is small and
-by the nullity-one meataxe test otherwise.
+schedule; irreducibility is certified exhaustively when the module has few
+1-dimensional subspaces and by the nullity-one meataxe test otherwise.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import numpy as np
 
-from .bsgs import StabilizerChain, _compose
+from .bsgs import LimitExceeded, StabilizerChain
 from .perms import Permutation
 
 _VEC_DTYPE = np.int16
+SECTION_DIM_CAP = 48
+EXHAUSTIVE_CAP = 4096         # 1-dimensional subspaces spun one by one
+MEATAXE_TRIES = 200           # random algebra elements per certificate
 
 
 class Subspace:
@@ -50,9 +54,6 @@ class Subspace:
             if c:
                 v = (v - c * row) % p
         return v
-
-    def contains(self, v):
-        return not self.reduce(v).any()
 
     def add(self, v):
         """Insert v; returns True when the dimension grew."""
@@ -144,7 +145,6 @@ class ElementaryLayer:
     """
 
     def __init__(self, W, p):
-        self.group = W
         self.p = p
         chain = W.chain
         self.sgen_arrs = [g.images for g in chain.strong_generators()]
@@ -157,9 +157,6 @@ class ElementaryLayer:
             self.block_dims.append(len(next(iter(labels.values()))))
         self.width = sum(self.block_dims)
         self.offsets = np.cumsum([0] + self.block_dims[:-1]).tolist()
-        # coordinates of the strong generators (rows of the lift basis)
-        self.sgen_vecs = [self.coords_arr(a) for a in self.sgen_arrs]
-        self._solver = LinearSolver(p, self.sgen_vecs) if self.sgen_vecs else None
 
     def _label_orbit(self, b):
         """Label the W-orbit of b so every generator acts by translation.
@@ -203,24 +200,6 @@ class ElementaryLayer:
             out[off:off + d] = labels[int(arr[b])]
         return out
 
-    def coords(self, perm):
-        return self.coords_arr(perm.images)
-
-    def lift(self, vec):
-        """Some element of W with the given coordinates (None if outside)."""
-        if self._solver is None:
-            return Permutation.identity(self.group.degree) if not np.any(vec) else None
-        x = self._solver.solve(vec)
-        if x is None:
-            return None
-        out = None
-        for xi, arr in zip(x, self.sgen_arrs):
-            for _ in range(int(xi)):
-                out = arr.copy() if out is None else _compose(out, arr)
-        if out is None:
-            out = np.arange(self.group.degree, dtype=np.int32)
-        return Permutation(out)
-
 
 class TowerCoordinates:
     """Coordinates on a small elementary abelian section W/K of any group.
@@ -229,9 +208,8 @@ class TowerCoordinates:
     extracts exponents top-down by membership tests.
     """
 
-    def __init__(self, W, K, p, dim_cap=48):
+    def __init__(self, W, K, p):
         self.p = p
-        self.degree = W.degree
         self.basis = []          # Permutation b_1..b_m
         self.chains = []         # chain of U_0 ... U_m
         base_gens = list(K.generators)
@@ -252,14 +230,15 @@ class TowerCoordinates:
             cur = StabilizerChain(W.degree, base_gens,
                                   known_order=self.chains[-1].order * p)
             self.chains.append(cur)
-            if len(self.basis) > dim_cap:
-                raise RuntimeError(f"section dimension exceeds cap {dim_cap}")
+            if len(self.basis) > SECTION_DIM_CAP:
+                raise RuntimeError(
+                    f"section dimension exceeds cap {SECTION_DIM_CAP}")
         self.width = len(self.basis)
 
-    def coords(self, perm):
-        """Exponent vector of perm modulo K (perm must lie in W)."""
+    def coords_arr(self, arr):
+        """Exponent vector of an element of W modulo K."""
         out = np.zeros(self.width, dtype=_VEC_DTYPE)
-        g = perm
+        g = Permutation(arr)
         for i in range(self.width - 1, -1, -1):
             lower = self.chains[i]
             binv = self.basis[i].inv()
@@ -274,25 +253,13 @@ class TowerCoordinates:
             g = h
         return out
 
-    def coords_arr(self, arr):
-        return self.coords(Permutation(arr))
-
-    def lift(self, vec):
-        out = None
-        for xi, b in zip(vec, self.basis):
-            for _ in range(int(xi) % self.p):
-                out = b if out is None else out * b
-        if out is None:
-            return Permutation.identity(self.degree)
-        return out
-
 
 # -- section space: quotient coordinates plus G-action ------------------------
 
 class SectionSpace:
     """The chief-factor candidate W/K as an explicit GF(p) G-module."""
 
-    def __init__(self, G, W, K, p, layer=None, dim_cap=48):
+    def __init__(self, G, W, K, p, layer=None):
         self.group = G
         self.W = W
         self.K = K
@@ -300,7 +267,7 @@ class SectionSpace:
         if layer is not None:
             self.coordsys = layer
         else:
-            self.coordsys = TowerCoordinates(W, K, p, dim_cap=dim_cap)
+            self.coordsys = TowerCoordinates(W, K, p)
         width = self.coordsys.width
         self.ksub = Subspace(p, width)
         for g in K.chain.strong_generators():
@@ -357,7 +324,7 @@ class SectionSpace:
 
 # -- spinning and minimal submodules ------------------------------------------
 
-def spin(vectors, matrices, p, width, limit=None):
+def spin(vectors, matrices, p, width):
     """Subspace closure of the given vectors under the action matrices."""
     sub = Subspace(p, width)
     queue = []
@@ -370,8 +337,6 @@ def spin(vectors, matrices, p, width, limit=None):
             img = (v.astype(np.int64) @ M) % p
             if sub.add(img):
                 queue.append(img.astype(_VEC_DTYPE))
-                if limit is not None and sub.dim > limit:
-                    return sub
     return sub
 
 
@@ -392,24 +357,26 @@ def _restrict_matrices(space_basis, matrices, p):
 
 
 def _is_irreducible_exhaustive(matrices, p, dim):
-    """Certify irreducibility by spinning every nonzero vector."""
-    from itertools import product
-    for coeffs in product(range(p), repeat=dim):
-        if not any(coeffs):
-            continue
-        v = np.array(coeffs, dtype=_VEC_DTYPE)
-        sub = spin([v], matrices, p, dim)
-        if sub.dim < dim:
-            return False, sub
+    """Certify irreducibility by spinning one vector of every 1-dimensional
+    subspace: the one whose leading nonzero coordinate is 1.  They come in
+    lexicographic order, so the first proper spin found is the one a scan
+    over all nonzero vectors finds first."""
+    for lead in range(dim - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        for tail in product(range(p), repeat=dim - lead - 1):
+            v = np.array(head + tail, dtype=_VEC_DTYPE)
+            sub = spin([v], matrices, p, dim)
+            if sub.dim < dim:
+                return False, sub
     return True, None
 
 
-def _nullity_one_certificate(matrices, p, dim, rng, tries=200):
+def _nullity_one_certificate(matrices, p, dim, rng):
     """Holt-Rees style test: look for an algebra element of nullity one and
     spin its null vector in the module and in the dual."""
     idmat = np.eye(dim, dtype=_VEC_DTYPE)
     words = list(matrices)
-    for _ in range(tries):
+    for _ in range(MEATAXE_TRIES):
         # random algebra element: sum of up to 3 random products
         theta = np.zeros((dim, dim), dtype=np.int64)
         for _ in range(rng.randrange(1, 4)):
@@ -438,56 +405,40 @@ def _nullity_one_certificate(matrices, p, dim, rng, tries=200):
         dual_mats = [M.T % p for M in matrices]
         dsub = spin([nt[0]], dual_mats, p, dim)
         if dsub.dim < dim:
-            # annihilator of the dual submodule is a proper submodule
-            ann = _annihilator(dsub, p, dim)
+            # the annihilator of the dual submodule is a proper submodule:
+            # the vectors v with v . B^T = 0 for the dual basis B
+            ann = Subspace(p, dim)
+            for v in _nullspace(dsub.basis_matrix().T, p):
+                ann.add(v)
             return False, ann
         return True, None
-    raise RuntimeError("irreducibility certification budget exhausted")
+    raise LimitExceeded(
+        f"irreducibility certificate not found in {MEATAXE_TRIES} random "
+        f"algebra elements (GF({p}) module of dimension {dim})")
 
 
 def _nullspace(M, p):
-    """Basis of the left nullspace of M over GF(p) (x M = 0)."""
-    dim = M.shape[0]
+    """Basis of the left nullspace of an r x c matrix M over GF(p) (x M = 0)."""
+    r, c = M.shape
     # row reduce [M | I]; rows whose M-part vanished give null combinations
-    space = Subspace(p, 2 * dim)
-    for i in range(dim):
-        space.add(np.concatenate([M[i] % p, np.eye(dim, dtype=np.int64)[i]]))
+    space = Subspace(p, c + r)
+    for i in range(r):
+        space.add(np.concatenate([M[i] % p, np.eye(r, dtype=np.int64)[i]]))
     out = []
     for row, piv in zip(space.rows, space.pivots):
-        if piv >= dim:
-            out.append(np.array(row[dim:], dtype=_VEC_DTYPE))
+        if piv >= c:
+            out.append(np.array(row[c:], dtype=_VEC_DTYPE))
     return out
-
-
-def _annihilator(dual_sub, p, dim):
-    """Vectors killed by every functional in the dual subspace."""
-    B = dual_sub.basis_matrix().astype(np.int64)
-    # solve v . B^T = 0
-    sub = Subspace(p, dim)
-    M = B.T % p  # dim x k
-    # nullspace of v -> v M
-    space = Subspace(p, M.shape[1] + dim)
-    for i in range(dim):
-        space.add(np.concatenate([M[i] % p,
-                                  np.eye(dim, dtype=np.int64)[i]]))
-    out = Subspace(p, dim)
-    for row, piv in zip(space.rows, space.pivots):
-        if piv >= M.shape[1]:
-            out.add(np.array(row[M.shape[1]:], dtype=_VEC_DTYPE))
-    return out
-
-
-EXHAUSTIVE_CAP = 4096
 
 
 def minimal_submodule(matrices, p, dim, seed=0):
     """Basis (echelon rows) of one minimal nonzero submodule.
 
     Descends through proper spins until irreducibility is certified, either
-    exhaustively (p^dim small) or by the nullity-one meataxe criterion.
+    exhaustively (at most EXHAUSTIVE_CAP 1-dimensional subspaces) or by the
+    nullity-one meataxe criterion, which refuses when its budget runs out.
     """
     rng = random.Random((seed * 1000003 + dim * 101 + p) & 0x7FFFFFFF)
-    current = [np.eye(dim, dtype=_VEC_DTYPE)[i] for i in range(dim)]
     cur_mats = matrices
     cur_dim = dim
     # transform chain: basis of current submodule in ORIGINAL coordinates
@@ -510,16 +461,12 @@ def minimal_submodule(matrices, p, dim, seed=0):
                 found = sub
                 break
         if found is None:
-            if p ** cur_dim <= EXHAUSTIVE_CAP:
-                ok, sub = _is_irreducible_exhaustive(cur_mats, p, cur_dim)
-                if ok:
-                    return basis
-                found = sub
+            if (p ** cur_dim - 1) // (p - 1) <= EXHAUSTIVE_CAP:
+                ok, found = _is_irreducible_exhaustive(cur_mats, p, cur_dim)
             else:
-                ok, sub = _nullity_one_certificate(cur_mats, p, cur_dim, rng)
-                if ok:
-                    return basis
-                found = sub
+                ok, found = _nullity_one_certificate(cur_mats, p, cur_dim, rng)
+            if ok:
+                return basis
         sub_basis = found.basis_matrix()
         # descend: rewrite in original coordinates
         basis = (sub_basis.astype(np.int64) @ basis.astype(np.int64)) % p

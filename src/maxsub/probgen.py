@@ -14,12 +14,13 @@ import math
 import random
 from fractions import Fraction
 
+from .bsgs import LimitExceeded
 from .group import generates
 from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
-from .structure import RefusedComputation
 
 BRUTE_TUPLE_BUDGET = 500_000
 MC_MEMO_BYTES = 16 * 2**20  # a tuple memo is kept only if every k-tuple fits
+MC_STREAMS = 4              # trials are split over this many seeded streams
 Z99 = 2.5758293035489004   # two-sided 99% normal quantile
 
 
@@ -48,8 +49,7 @@ class GenProbResult:
         return out
 
 
-def phi(G, d, lattice_limit=DEFAULT_ORDER_LIMIT,
-        brute_budget=BRUTE_TUPLE_BUDGET):
+def phi(G, d, lattice_limit=DEFAULT_ORDER_LIMIT):
     """Exact number of generating ordered d-tuples."""
     if d < 0:
         raise ValueError("tuple arity must be nonnegative")
@@ -57,11 +57,11 @@ def phi(G, d, lattice_limit=DEFAULT_ORDER_LIMIT,
         return 1 if G.order == 1 else 0
     if G.order <= lattice_limit:
         return subgroup_classes(G, lattice_limit).eulerian(d)
-    if G.order ** d <= brute_budget:
+    if G.order ** d <= BRUTE_TUPLE_BUDGET:
         return _phi_brute(G, d)
-    raise RefusedComputation(
+    raise LimitExceeded(
         f"phi needs a lattice (order <= {lattice_limit}) or "
-        f"|G|^d <= {brute_budget}")
+        f"|G|^d <= {BRUTE_TUPLE_BUDGET}")
 
 
 def _phi_brute(G, d):
@@ -83,19 +83,19 @@ def gen_prob(G, k, lattice_limit=DEFAULT_ORDER_LIMIT):
     return GenProbResult(k, exact=Fraction(count, G.order ** k))
 
 
-def gen_prob_mc(G, k, trials, seed, workers=4):
-    """Monte-Carlo estimate; deterministic for (seed, trials, workers).
+def gen_prob_mc(G, k, trials, seed):
+    """Monte-Carlo estimate; deterministic for (seed, trials).
 
-    Trials are split over virtual workers with derived seeds, so a parallel
-    and a serial schedule merge to identical counts.
+    The trials are split evenly over MC_STREAMS random streams, each with
+    its own seed derived from `seed`, and run one stream after another.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     hits = 0
-    base = trials // workers
-    extra = trials % workers
+    base = trials // MC_STREAMS
+    extra = trials % MC_STREAMS
     memo = _tuple_memo(G, k)
-    for w in range(workers):
+    for w in range(MC_STREAMS):
         share = base + (1 if w < extra else 0)
         rng = random.Random(seed * 1_000_003 + w * 7919 + 1)
         for _ in range(share):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-DEFAULT_CAP = 10_000_000
+TABLE_CAP = 10_000_000
 
 _AMBIGUOUS_ORDER = 20160   # Alt(8) = PSL(4,2) vs PSL(3,4)
 
@@ -26,12 +26,12 @@ def _prime_powers(limit):
 
 
 @lru_cache(maxsize=None)
-def simple_order_table(cap=DEFAULT_CAP):
+def simple_order_table():
     """Map order -> list of group names, for non-abelian simple groups."""
     table = {}
 
     def add(order, name):
-        if order <= cap:
+        if order <= TABLE_CAP:
             table.setdefault(order, [])
             if name not in table[order]:
                 table[order].append(name)
@@ -39,9 +39,7 @@ def simple_order_table(cap=DEFAULT_CAP):
     from math import factorial, gcd
 
     for n in range(5, 13):
-        o = factorial(n) // 2
-        if o <= cap:
-            add(o, f"Alt({n})")
+        add(factorial(n) // 2, f"Alt({n})")
     for q in _prime_powers(300):
         if q < 4:
             continue
@@ -149,7 +147,7 @@ def _int_root(n, k):
     return None
 
 
-def power_of_simple_order(n, cap=DEFAULT_CAP):
+def power_of_simple_order(n):
     """True / False / None: is n a power of a non-abelian simple order?
 
     Prime powers are excluded exactly at any size.  Otherwise membership is
@@ -160,7 +158,7 @@ def power_of_simple_order(n, cap=DEFAULT_CAP):
         return False
     if is_prime_power(n):
         return False
-    table = simple_order_table(cap)
+    table = simple_order_table()
     unknown = False
     k = 1
     while 60 ** k <= n:
@@ -168,15 +166,15 @@ def power_of_simple_order(n, cap=DEFAULT_CAP):
         if r is not None:
             if r in table:
                 return True
-            if r > cap:
+            if r > TABLE_CAP:
                 unknown = True
         k += 1
     return None if unknown else False
 
 
-def split_simple_power(n, cap=DEFAULT_CAP):
+def split_simple_power(n):
     """(simple order s, k, names) with n = s^k, or None."""
-    table = simple_order_table(cap)
+    table = simple_order_table()
     k = 1
     while 60 ** k <= n:
         r = _int_root(n, k)

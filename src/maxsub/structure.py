@@ -25,23 +25,20 @@ from math import lcm
 
 import numpy as np
 
-from .bsgs import StabilizerChain, _compose
+from .bsgs import LimitExceeded, StabilizerChain, _compose
 from .group import (DEFAULT_COSET_LIMIT, GroupHandle, commutators,
                     coset_action, coset_position, coset_table,
                     group_from_generators, is_abelian, is_normal,
                     kernel_of_action_schreier, normal_closure,
                     small_generating_set, stabilizer_of_action_point)
+from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
 from .modules import (_VEC_DTYPE, ElementaryLayer, SectionSpace,
                       intertwiner_space_dim, minimal_submodule)
 from .perms import Permutation
 from .simptable import prime_factors, prime_power_split, split_simple_power
 
 ELEMENT_BUDGET = 40000
-SECTION_DIM_CAP = 48
-
-
-class RefusedComputation(RuntimeError):
-    """A structural computation exceeded its stated resource limits."""
+ISOMORPHISM_BUDGET = 200000
 
 
 class NormalSection:
@@ -90,7 +87,8 @@ class ChiefFactorDescriptor:
 
 class FactorAction:
     """Conjugation action of G on the cosets of K in H (the chief factor
-    as a G-set), with the induced image group and its kernel C_G(H/K)."""
+    as a G-set), with its kernel C_G(H/K) and the primitive group
+    G/C_G(H/K)."""
 
     def __init__(self, G, H, K):
         self.parent = G
@@ -111,16 +109,30 @@ class FactorAction:
 
         self._conj_array = conj_array
         self.gen_arrays = [conj_array(g) for g in G.generators]
+        self.centralizer = kernel_of_action_schreier(G, self.gen_arrays, n)
+        self._primitive = None
 
     def array_of(self, p):
         return self._conj_array(p)
 
-    def image_group(self, name=None):
-        return group_from_generators(
-            self.n, [Permutation(a) for a in self.gen_arrays], name=name)
+    @property
+    def primitive(self):
+        """G/C_G(H/K) as a handle, built once: G itself when the centralizer
+        is trivial, otherwise the image group on the n cosets."""
+        if self._primitive is None:
+            if self.centralizer.order == 1:
+                self._primitive = self.parent
+            else:
+                self._primitive = group_from_generators(
+                    self.n, [Permutation(a) for a in self.gen_arrays],
+                    name="associated-primitive")
+        return self._primitive
 
-    def kernel(self):
-        return kernel_of_action_schreier(self.parent, self.gen_arrays, self.n)
+    def to_primitive(self, p):
+        """The image in `primitive` of an element of G."""
+        if self.primitive is self.parent:
+            return p
+        return Permutation(self.array_of(p))
 
 
 # -- general small-group helpers ----------------------------------------------
@@ -153,7 +165,7 @@ def _conjugation_orbit_reps(els, gens):
     return reps
 
 
-def minimal_normal_subgroups(G, budget=ELEMENT_BUDGET):
+def minimal_normal_subgroups(G):
     """All minimal normal subgroups (element-closure route, desk scale).
 
     Every minimal normal subgroup is the normal closure of any of its
@@ -162,11 +174,12 @@ def minimal_normal_subgroups(G, budget=ELEMENT_BUDGET):
     """
     if G.order == 1:
         return []
-    if G.order > budget:
-        raise RefusedComputation(
-            f"minimal normal subgroups need order <= {budget}, got {G.order}")
+    if G.order > ELEMENT_BUDGET:
+        raise LimitExceeded(
+            f"minimal normal subgroups need order <= {ELEMENT_BUDGET}, "
+            f"got {G.order}")
     closures = []
-    for rep in _conjugacy_class_reps(G, budget):
+    for rep in _conjugacy_class_reps(G):
         if rep.is_identity():
             continue
         N = normal_closure(G, [rep])
@@ -238,7 +251,7 @@ def _restrict(arr, points, position):
     return np.array([position[int(arr[p])] for p in points], dtype=np.int32)
 
 
-def _find_minimal_normal_above(G, N, rng, coset_limit=20000):
+def _find_minimal_normal_above(G, N, rng):
     W = G
     while True:
         D = _derived_over(G, N, W)
@@ -251,10 +264,10 @@ def _find_minimal_normal_above(G, N, rng, coset_limit=20000):
                     return X
                 W = X
                 continue
-            X = _materialize_step(G, N, W, coset_limit)
+            X = _materialize_step(G, N, W)
             if X is not None:
                 return X
-            raise RefusedComputation(
+            raise LimitExceeded(
                 "perfect section resisted orbit peeling and the quotient "
                 f"index {G.order // N.order} exceeds the coset limit")
         if D.order > N.order:
@@ -303,7 +316,7 @@ def _abelian_chief_above(G, N, W, rng):
         layer = _elementary_layer_for(W, p)
         sec = SectionSpace(G, W, N, p, layer=layer)
     else:
-        sec = SectionSpace(G, W, N, p, dim_cap=SECTION_DIM_CAP)
+        sec = SectionSpace(G, W, N, p)
     if sec.dim == 0:
         raise RuntimeError("empty abelian section")
     basis = minimal_submodule(sec.gen_matrices, p, sec.dim,
@@ -387,11 +400,10 @@ def _minimal_invariant_normal_over(JG, JW, JN):
     return best
 
 
-def _materialize_step(G, N, W, coset_limit):
-    index = G.order // N.order
-    if index > coset_limit:
+def _materialize_step(G, N, W):
+    if G.order // N.order > DEFAULT_COSET_LIMIT:
         return None
-    act = coset_action(G, N, limit=coset_limit)
+    act = coset_action(G, N)
     Q = act.quotient
     Wbar = Q.subgroup([act.map.apply(w) for w in W.generators])
     if Wbar.order == 1:
@@ -406,7 +418,7 @@ def _materialize_step(G, N, W, coset_limit):
     return X
 
 
-def chief_series(G, seed=0, coset_limit=20000):
+def chief_series(G, seed=0):
     """Ascending chief series as a list of ChiefFactorDescriptors."""
     cache_key = ("chief_series", seed)
     got = G._cache.get(cache_key)
@@ -416,7 +428,7 @@ def chief_series(G, seed=0, coset_limit=20000):
     subgroups = [G.subgroup([], known_order=1)]
     N = subgroups[0]
     while N.order < G.order:
-        X = _find_minimal_normal_above(G, N, rng, coset_limit)
+        X = _find_minimal_normal_above(G, N, rng)
         if X.order <= N.order or X.order > G.order or G.order % X.order:
             raise RuntimeError("chief series step produced a bad subgroup")
         subgroups.append(X)
@@ -440,7 +452,7 @@ def describe_factor(G, H, K):
         if split is None:
             raise RuntimeError("abelian chief factor of non-prime-power order")
         d.prime, d.dim = split
-        d.space = SectionSpace(G, H, K, d.prime, dim_cap=SECTION_DIM_CAP)
+        d.space = SectionSpace(G, H, K, d.prime)
         if d.space.dim != d.dim:
             raise RuntimeError("section dimension mismatch")
         d.centralizer = _abelian_centralizer(G, d)
@@ -451,12 +463,13 @@ def describe_factor(G, H, K):
                 f"non-abelian chief factor order {d.order} has no simple root")
         s, k, names = split
         d.copies = k
+        d.factor_action = FactorAction(G, H, K)
+        d.centralizer = d.factor_action.centralizer
         if len(names) == 1:
             d.simple_id = names[0]
         else:
-            d.simple_id, d.ambiguity_note = _disambiguate_simple(G, H, K, names)
-        d.factor_action = FactorAction(G, H, K)
-        d.centralizer = d.factor_action.kernel()
+            d.simple_id, d.ambiguity_note = _disambiguate_simple(
+                d.factor_action, H)
     return d
 
 
@@ -476,7 +489,7 @@ def _vectors(p, dim):
     allocation."""
     n = p ** dim
     if n > DEFAULT_COSET_LIMIT:
-        raise RefusedComputation(
+        raise LimitExceeded(
             f"GF({p})^{dim} has {n} vectors, above the coset limit "
             f"{DEFAULT_COSET_LIMIT}")
     codes = np.arange(n, dtype=np.int64)
@@ -494,13 +507,11 @@ def _matrix_actions(vecs, p, mats):
             for M in mats]
 
 
-def _disambiguate_simple(G, H, K, names):
+def _disambiguate_simple(fa, H):
     """Order 20160: Alt(8) has elements of order 15, PSL(3,4) does not."""
-    fa = FactorAction(G, H, K)
-    img = fa.image_group()
     # image of H is the factor itself (H/K embeds via conjugation action)
-    hgens = [Permutation(fa.array_of(h)) for h in H.generators]
-    factor_group = img.subgroup(hgens)
+    factor_group = fa.primitive.subgroup(
+        [fa.to_primitive(h) for h in H.generators])
     rng = random.Random(0xD15A)
     found15 = False
     for _ in range(4000):
@@ -543,10 +554,10 @@ def complement_solution_count(G, H, K, budget=COMPLEMENT_TUPLE_BUDGET,
     n = sec_d.order
     dgen = len(G.generators)
     if n ** dgen > budget:
-        raise RefusedComputation(
+        raise LimitExceeded(
             f"complement search space {n}**{dgen} exceeds budget {budget}")
     sec_d.prime, sec_d.dim = prime_power_split(n)
-    sec_d.space = SectionSpace(G, H, K, sec_d.prime, dim_cap=SECTION_DIM_CAP)
+    sec_d.space = SectionSpace(G, H, K, sec_d.prime)
     lifts = _abelian_coset_lifts(sec_d)
     target = G.order // n
     base_gens = list(K.chain.strong_generators())
@@ -577,7 +588,6 @@ def _orbit_image_lattice(G, oi, pts, pos, lattice_cap):
     key = ("orbit_image", oi)
     got = G._cache.get(key)
     if got is None:
-        from .lattice import subgroup_classes
         jgens = [Permutation(_restrict(g.images, pts, pos))
                  for g in G.generators]
         JG = group_from_generators(len(pts), jgens)
@@ -589,7 +599,7 @@ def _orbit_image_lattice(G, oi, pts, pos, lattice_cap):
     return got
 
 
-def _orbit_supplement_search(G, H, K, lattice_cap=2000):
+def _orbit_supplement_search(G, H, K, lattice_cap):
     """Search the orbit images for a maximal subgroup of G containing K but
     not H (certifying that H/K is non-Frattini).  Returns True or None."""
     from .tables import mask_of
@@ -618,8 +628,7 @@ def _orbit_supplement_search(G, H, K, lattice_cap=2000):
     return None
 
 
-def ensure_factor_flags(G, d, lattice_cap=2000,
-                        direct_cap=DIRECT_COMPLEMENT_ORDER_CAP):
+def ensure_factor_flags(G, d, lattice_cap=DEFAULT_ORDER_LIMIT):
     """Fill in the Frattini flag of a descriptor, and the complement flag of
     an abelian one.
 
@@ -633,7 +642,7 @@ def ensure_factor_flags(G, d, lattice_cap=2000,
         d.frattini = False
         return d
     H, K = d.section.upper, d.section.lower
-    if G.order <= direct_cap:
+    if G.order <= DIRECT_COMPLEMENT_ORDER_CAP:
         cnt = complement_solution_count(G, H, K, early_exit=True)
         d.complemented = cnt > 0
     else:
@@ -659,7 +668,7 @@ def g_isomorphic(G, f1, f2):
             and all(c2.contains(g) for g in c1.generators))
 
 
-def group_isomorphisms(A, B, limit=None, budget=200000):
+def group_isomorphisms(A, B):
     """All isomorphisms A -> B as element maps (dicts keyed by image bytes).
 
     Search over candidate images of a small generating set of A, certifying
@@ -700,8 +709,8 @@ def group_isomorphisms(A, B, limit=None, budget=200000):
     tried = 0
     for images in product(*cand_lists):
         tried += 1
-        if tried > budget:
-            raise RefusedComputation("isomorphism search budget exhausted")
+        if tried > ISOMORPHISM_BUDGET:
+            raise LimitExceeded("isomorphism search budget exhausted")
         # build phi over all elements, verifying consistency
         phi = [None] * len(els_a)
         phi[idx_id] = Permutation.identity(B.degree)
@@ -725,13 +734,9 @@ def group_isomorphisms(A, B, limit=None, budget=200000):
         if not all(B.contains(p) for p in images):
             continue
         yield {els_a[i].images.tobytes(): phi[i] for i in range(len(els_a))}
-        if limit is not None:
-            limit -= 1
-            if limit <= 0:
-                return
 
 
-def g_connected(G, f1, f2, element_budget=ELEMENT_BUDGET):
+def g_connected(G, f1, f2):
     """G-connectedness of two non-abelian chief factors.
 
     True when G-isomorphic, or when the quotient by the intersection of the
@@ -752,7 +757,7 @@ def g_connected(G, f1, f2, element_budget=ELEMENT_BUDGET):
         arr = np.concatenate([fa1.gen_arrays[i], fa2.gen_arrays[i] + n1])
         combined.append(Permutation(arr))
     Q = group_from_generators(n1 + n2, combined, name="pair-quotient")
-    if Q.order > element_budget:
+    if Q.order > ELEMENT_BUDGET:
         return "undecided"
 
     def push(p):
@@ -765,7 +770,7 @@ def g_connected(G, f1, f2, element_budget=ELEMENT_BUDGET):
     M2 = Q.subgroup([push(h) for h in f1.centralizer.generators])
     if M1.order != f1.order or M2.order != f2.order:
         return False
-    mins = minimal_normal_subgroups(Q, budget=element_budget)
+    mins = minimal_normal_subgroups(Q)
     if len(mins) != 2:
         return False
 
@@ -915,7 +920,7 @@ def crowns(G, seed=0):
         ensure_factor_flags(G, d)
     undecided = [d for d in facs if d.complemented is None and d.abelian]
     if undecided:
-        raise RefusedComputation(
+        raise LimitExceeded(
             f"{len(undecided)} abelian factors have undecided complement "
             "status; crowns would be incomplete")
     ab = [d for d in facs if d.abelian and d.complemented]
@@ -932,7 +937,7 @@ def crowns(G, seed=0):
 def _connected_or_raise(G, f1, f2):
     r = g_connected(G, f1, f2)
     if r == "undecided":
-        raise RefusedComputation(
+        raise LimitExceeded(
             "G-connectedness undecided between two chief factors "
             f"(orders {f1.order}, {f2.order})")
     return r
@@ -954,10 +959,10 @@ def _partition(G, items, rel):
 
 # -- Baer classification and associated primitive groups ------------------------
 
-def classify_maximal(G, M, coset_limit=20000):
+def classify_maximal(G, M):
     """Baer type (1, 2 or 3) of a maximal subgroup via its primitive
     quotient G/M_G."""
-    act = coset_action(G, M, limit=coset_limit)
+    act = coset_action(G, M)
     Q = act.quotient
     mins = minimal_normal_subgroups(Q)
     if len(mins) == 1:
@@ -974,7 +979,7 @@ def associated_primitive(G, d):
     """The primitive group attached to a chief factor: the affine extension
     for abelian factors, the centralizer quotient for non-abelian ones."""
     if not d.abelian:
-        return d.factor_action.image_group(name="associated-primitive")
+        return d.factor_action.primitive
     p = d.prime
     vecs = _vectors(p, d.dim)
     npoints = len(vecs)

@@ -20,10 +20,7 @@ _TABLE_MAX = 32767
 class ElementTable:
     """Canonical element list plus multiplication/inverse tables."""
 
-    def __init__(self, G, limit=2048):
-        if G.order > limit:
-            raise LimitExceeded(
-                f"element table needs order <= {limit}, got {G.order}")
+    def __init__(self, G):
         if G.order > _TABLE_MAX:
             raise LimitExceeded("element table index type overflow")
         self.group = G
@@ -217,10 +214,10 @@ def indices_of(mask, n):
     return np.nonzero(bits[:n])[0].astype(_TABLE_DTYPE)
 
 
-def element_table(G, limit=2048):
-    """Cached element table on the handle (reused across limits once built)."""
+def element_table(G):
+    """Element table of G, cached on the handle."""
     tab = G._cache.get("element_table")
     if tab is None:
-        tab = ElementTable(G, limit=limit)
+        tab = ElementTable(G)
         G._cache["element_table"] = tab
     return tab

@@ -67,10 +67,6 @@ def naive_maximals(subgroup_sets, whole):
     return out
 
 
-def naive_centralizer(G_elements, H_gens):
-    return {x for x in G_elements if all(x * h == h * x for h in H_gens)}
-
-
 def naive_generating_tuples(degree, elements, whole_order, k):
     """Count ordered k-tuples generating the whole group (brute force)."""
     els = list(elements)

@@ -171,3 +171,30 @@ def test_analyze_without_d_leaves_bounds_null(capsys, monkeypatch):
         assert row["bound_mn"] is None and row["bound_lubotzky"] is None
         assert row["m_exact"] == m_exact.get(str(row["n"]), 0)
     assert payload["nu"]["notes"]["eta"] == "skipped: no certified d"
+
+
+def test_hat_census_obeys_lattice_limit(capsys):
+    # the census of hat:alt:5;2 counts generating pairs on the lattice of
+    # A5, whose order 60 is above the lattice limit
+    code, out, err = run_cli(capsys, "--lattice-limit", "50",
+                             "construct", "hat:alt:5;2")
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert "lattice limit 50" in err
+
+
+def test_analyze_sym6_builds_one_element_table(capsys, monkeypatch):
+    # C_G(A6) = 1 in S6, so the primitive group of the chief factor A6 is
+    # S6 itself: its element table and lattice are those of G
+    from maxsub.tables import ElementTable
+    built = []
+    orig = ElementTable.__init__
+
+    def counted(self, G):
+        built.append(G.order)
+        orig(self, G)
+
+    monkeypatch.setattr(ElementTable, "__init__", counted)
+    code, out, err = run_cli(capsys, "analyze", "sym:6")
+    assert code == EXIT_OK
+    assert built == [720]

@@ -3,7 +3,6 @@ import pytest
 from maxsub.catalog import alt, builtin, cyc, dih, sym
 from maxsub.group import direct_product
 from maxsub.invariants import (m_n, min_generators, profile, script_M)
-from maxsub.structure import RefusedComputation
 
 
 def test_profile_s4():

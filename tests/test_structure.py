@@ -1,12 +1,14 @@
+import numpy as np
 import pytest
 
 import maxsub.group
 import maxsub.structure
+from maxsub.bsgs import LimitExceeded
 from maxsub.catalog import alt, builtin, cyc, sym
 from maxsub.group import core, direct_product, group_from_generators, is_normal
 from maxsub.lattice import maximal_subgroups, subgroup_classes
 from maxsub.perms import Permutation, parse_cycles
-from maxsub.structure import (RefusedComputation, _is_maximal_by_cosets,
+from maxsub.structure import (_is_maximal_by_cosets,
                               associated_primitive, chief_series,
                               classify_maximal, complement_solution_count,
                               crowns, describe_factor, ensure_factor_flags,
@@ -299,7 +301,7 @@ def test_complement_budget_checked_before_section_space(monkeypatch):
         raise AssertionError("SectionSpace built before the budget check")
 
     monkeypatch.setattr(maxsub.structure, "SectionSpace", no_space)
-    with pytest.raises(RefusedComputation):
+    with pytest.raises(LimitExceeded):
         complement_solution_count(G, H, K, budget=1)
 
 
@@ -312,7 +314,7 @@ def test_materialize_step_s4(lower, upper, expected):
     A4 = derived_subgroup(G)
     named = {"1": G.subgroup([], known_order=1), "V4": derived_subgroup(A4),
              "A4": A4, "S4": G}
-    X = _materialize_step(G, named[lower], named[upper], 20000)
+    X = _materialize_step(G, named[lower], named[upper])
     assert X.order == expected
     assert is_normal(G, X)
 
@@ -320,7 +322,6 @@ def test_materialize_step_s4(lower, upper, expected):
 def test_vector_tables_match_loop_reference():
     import random
 
-    import numpy as np
     from maxsub.structure import _matrix_actions, _vector_codes, _vectors
 
     def digits(code, p, dim):
@@ -359,5 +360,24 @@ def test_vectors_refused_above_coset_limit():
     for build in (lambda: _abelian_centralizer(G, d),
                   lambda: _abelian_coset_lifts(d),
                   lambda: associated_primitive(G, d)):
-        with pytest.raises(RefusedComputation, match="32768 vectors"):
+        with pytest.raises(LimitExceeded, match="32768 vectors"):
             build()
+
+
+def test_chief_series_field_module_group():
+    # GF(67^2) x| C17 on its 4489 points: the translations form a module
+    # that is irreducible but not absolutely irreducible (its algebra is the
+    # field GF(67^2)), so the meataxe has no nullity-one element to find
+    p = 67
+    M = np.array([[0, 1], [66, 13]], dtype=np.int64)   # of order 17
+    pts = np.array([(x, y) for x in range(p) for y in range(p)],
+                   dtype=np.int64)
+
+    def action(images):
+        return Permutation((images[:, 0] % p * p + images[:, 1] % p)
+                           .astype(np.int32))
+
+    G = group_from_generators(p * p, [action(pts + [1, 0]),
+                                      action(pts @ M)])
+    assert G.order == p * p * 17
+    assert factor_orders(G) == [p * p, 17]
