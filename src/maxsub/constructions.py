@@ -373,6 +373,9 @@ def tuple_orbits(G, d, lattice_limit=DEFAULT_ORDER_LIMIT):
     cached = G._cache.get(("tuple_orbits", d))
     if cached is not None:
         return cached
+    if d == 2:
+        # the pair scan reads G's lattice: refuse before any other work
+        subgroup_classes(G, lattice_limit)
     aut = automorphisms(G)
     T = aut.table
     n = T.n

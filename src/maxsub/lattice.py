@@ -258,9 +258,9 @@ def _perfect_seed_scan(table):
     for a in reps:
         # restrict b to representatives of conjugation by C(a): conjugating
         # the pair (a, b) by centralizing elements fixes a
-        cz = [x for x in range(n) if table.conj(a, x) == a]
+        cz = np.nonzero(table.conjugates(a) == a)[0]
         cz_maps = [table.conj_map(g) for g in table.reduce_generators(
-            np.array(sorted(cz), dtype=np.int16))]
+            cz.astype(np.int16))]
         covered = np.zeros(n, dtype=bool)
         for b in range(n):
             if covered[b]:
@@ -291,6 +291,16 @@ def _perfect_seed_scan(table):
                 seen_pairs.add(m)
             if min_mask not in out:
                 out[min_mask] = (masks, min_idx)
+    return out
+
+
+def _normalizers_outside(table, H_idx, H_gens):
+    """Mask of the g outside H with g^-1 h g in H for every h in H_gens."""
+    in_H = np.zeros(table.n, dtype=bool)
+    in_H[H_idx] = True
+    out = ~in_H
+    for h in H_gens:
+        out &= in_H[table.conjugates(h)]
     return out
 
 
@@ -337,17 +347,8 @@ def _build_lattice(G):
         H_mask = cls.rep_mask
         H_idx = cls.rep_indices
         H_gens = [int(g) for g in cls.gens]
-        for g in range(n):
-            if (H_mask >> g) & 1:
-                continue
-            # g must normalize H
-            ok = True
-            for h in H_gens:
-                if not (H_mask >> table.conj(h, g)) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        for g in np.nonzero(
+                _normalizers_outside(table, H_idx, H_gens))[0].tolist():
             # order of g modulo H along the cyclic tower
             p = g
             k = 1

@@ -205,15 +205,16 @@ class TowerCoordinates:
     """Coordinates on a small elementary abelian section W/K of any group.
 
     Builds K = U_0 < U_1 < ... < U_m = W with [U_i : U_{i-1}] = p and
-    extracts exponents top-down by membership tests.
+    extracts exponents top-down by membership tests.  U_0 is K's own chain;
+    each U_i is built from the strong generators of U_{i-1} plus b_i, and
+    its known order |U_{i-1}| * p ends the build without a verification.
     """
 
     def __init__(self, W, K, p):
         self.p = p
         self.basis = []          # Permutation b_1..b_m
         self.chains = []         # chain of U_0 ... U_m
-        base_gens = list(K.generators)
-        cur = StabilizerChain(W.degree, base_gens)
+        cur = K.chain
         self.chains.append(cur)
         target = W.order
         candidates = list(W.chain.strong_generators())
@@ -226,9 +227,8 @@ class TowerCoordinates:
             if cur.contains(b):
                 continue
             self.basis.append(b)
-            base_gens = base_gens + [b]
-            cur = StabilizerChain(W.degree, base_gens,
-                                  known_order=self.chains[-1].order * p)
+            cur = StabilizerChain(W.degree, cur.strong_generators() + [b],
+                                  known_order=cur.order * p)
             self.chains.append(cur)
             if len(self.basis) > SECTION_DIM_CAP:
                 raise RuntimeError(

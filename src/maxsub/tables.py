@@ -2,7 +2,10 @@
 
 All lattice and orbit-census work runs in element-index space: elements are
 enumerated once, canonically sorted, and multiplication becomes a numpy
-table lookup.  Subgroups are sorted index arrays paired with bitmask
+table lookup.  The table is filled along the Cayley graph of the group's
+generators: n key lookups per generator give left multiplication by that
+generator as an index map, and every other row is one gather of a row
+already filled.  Subgroups are sorted index arrays paired with bitmask
 integers, so containment is a single bigint AND.
 """
 
@@ -47,13 +50,24 @@ class ElementTable:
     @property
     def mult(self):
         if self._mult is None:
-            n, E = self.n, self._matrix
+            # lg[j] = index of e_g * e_j for a generator g; if e_x = e_g * e_y
+            # then row x = lg[row y], so rows are filled in BFS order from
+            # the identity row, one gather each
+            n, E, idx = self.n, self._matrix, self.index
+            left = [np.array([idx[r.tobytes()] for r in E[:, E[g]]],
+                             dtype=_TABLE_DTYPE) for g in self.gen_indices]
             table = np.empty((n, n), dtype=_TABLE_DTYPE)
-            idx = self.index
-            for i in range(n):
-                rows = E[:, E[i]]  # row j = images of element_i * element_j
-                for j in range(n):
-                    table[i, j] = idx[rows[j].tobytes()]
+            table[self.identity_index] = np.arange(n, dtype=_TABLE_DTYPE)
+            done = np.zeros(n, dtype=bool)
+            done[self.identity_index] = True
+            queue = [self.identity_index]
+            for y in queue:
+                for lg in left:
+                    x = int(lg[y])
+                    if not done[x]:
+                        done[x] = True
+                        table[x] = lg[table[y]]
+                        queue.append(x)
             self._mult = table
         return self._mult
 
@@ -98,6 +112,11 @@ class ElementTable:
         row = m[self.inv[g]]            # inv(g) * x for all x
         return m[row, g].astype(_TABLE_DTYPE)
 
+    def conjugates(self, x):
+        """Array of g^-1 x g over every element g."""
+        m = self.mult
+        return m[m[self.inv, x], np.arange(self.n)]
+
     def commutator(self, a, b):
         m = self.mult
         return int(m[int(m[int(m[self.inv[a], self.inv[b]]), a]), b])
@@ -106,18 +125,20 @@ class ElementTable:
         """Sorted element indices of the subgroup generated by gens."""
         m = self.mult
         gens = [g for g in gens if g != self.identity_index]
-        seen = {self.identity_index}
-        frontier = [self.identity_index]
-        while frontier:
+        seen = np.zeros(self.n, dtype=bool)
+        seen[self.identity_index] = True
+        frontier = np.array([self.identity_index])
+        while gens and len(frontier):
+            # x -> x * g is injective, so each step is already duplicate-free
+            # once the elements seen so far are dropped
             new = []
-            for x in frontier:
-                for g in gens:
-                    y = int(m[x, g])
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return np.array(sorted(seen), dtype=_TABLE_DTYPE)
+            for g in gens:
+                step = m[frontier, g]
+                step = step[~seen[step]]
+                seen[step] = True
+                new.append(step)
+            frontier = np.concatenate(new)
+        return np.nonzero(seen)[0].astype(_TABLE_DTYPE)
 
     def normal_closure_in(self, ambient_gens, seeds):
         """Normal closure of `seeds` under conjugation by `ambient_gens`,

@@ -7,6 +7,8 @@ never call into the algorithms they are meant to check.
 
 from itertools import combinations
 
+import numpy as np
+
 from maxsub.perms import Permutation
 
 
@@ -76,3 +78,40 @@ def naive_generating_tuples(degree, elements, whole_order, k):
         if len(naive_closure(degree, list(tup))) == whole_order:
             count += 1
     return count
+
+
+def naive_mult_table(table):
+    """Multiplication table of an ElementTable by n^2 key lookups."""
+    n, E = table.n, np.stack([p.images for p in table.elements])
+    out = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        rows = E[:, E[i]]  # row j = images of element_i * element_j
+        for j in range(n):
+            out[i, j] = table.index[rows[j].tobytes()]
+    return out
+
+
+def naive_index_closure(table, gens):
+    """Sorted element indices of <gens> by a set-based breadth-first search
+    over right multiplication in the table."""
+    m = table.mult
+    seen = {table.identity_index}
+    frontier = [table.identity_index]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = int(m[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return sorted(seen)
+
+
+def naive_normalizers_outside(table, H_indices, H_gens):
+    """The g outside H with g^-1 h g in H for each h in H_gens, one
+    conjugation at a time."""
+    members = set(int(i) for i in H_indices)
+    return [g for g in range(table.n) if g not in members
+            and all(table.conj(h, g) in members for h in H_gens)]

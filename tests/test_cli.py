@@ -183,6 +183,19 @@ def test_hat_census_obeys_lattice_limit(capsys):
     assert "lattice limit 50" in err
 
 
+def test_hat_census_refuses_before_counting_pairs(capsys, monkeypatch):
+    import maxsub.probgen
+    calls = []
+    monkeypatch.setattr(maxsub.probgen, "generates",
+                        lambda G, perms: calls.append(perms))
+    code, out, err = run_cli(capsys, "--lattice-limit", "50",
+                             "construct", "hat:alt:5;2")
+    assert code == EXIT_REFUSED
+    assert err == ("refused: subgroup enumeration needs order <= lattice "
+                   "limit 50, got 60\n")
+    assert calls == []
+
+
 def test_analyze_sym6_builds_one_element_table(capsys, monkeypatch):
     # C_G(A6) = 1 in S6, so the primitive group of the chief factor A6 is
     # S6 itself: its element table and lattice are those of G

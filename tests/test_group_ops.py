@@ -194,3 +194,45 @@ def test_small_generating_set_matches_sympy(case):
         assert not sympy_group(gens[:i]).contains(sympy_perm(g))
     with pytest.raises(RuntimeError):
         small_generating_set(degree, candidates, 2 * order)
+
+
+@st.composite
+def _group_and_seeds(draw):
+    degree = draw(st.integers(min_value=1, max_value=9))
+    perm = st.permutations(list(range(degree))).map(Permutation)
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    words = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=len(gens) - 1),
+                 min_size=1, max_size=4),
+        min_size=1, max_size=2))
+    seeds = []
+    for w in words:
+        out = gens[w[0]]
+        for i in w[1:]:
+            out = out * gens[i]
+        seeds.append(out)
+    return degree, gens, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(_group_and_seeds())
+def test_normal_closure_and_derived_subgroup_match_sympy(case):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    degree, gens, seeds = case
+
+    def sympy_perm(p):
+        return combinatorics.Permutation(p.images.tolist())
+
+    G = group_from_generators(degree, gens)
+    reference = combinatorics.PermutationGroup([sympy_perm(g) for g in gens])
+    pairs = [
+        (normal_closure(G, seeds),
+         reference.normal_closure([sympy_perm(s) for s in seeds])),
+        (derived_subgroup(G), reference.derived_subgroup()),
+    ]
+    for ours, theirs in pairs:
+        assert ours.order == theirs.order()
+        assert all(ours.contains(Permutation(
+            g.array_form + list(range(g.size, degree))))
+            for g in theirs.generators)
+        assert all(theirs.contains(sympy_perm(g)) for g in ours.generators)

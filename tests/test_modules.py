@@ -1,5 +1,6 @@
 """GF(p) modules: irreducibility certificates and minimal submodules."""
 
+import random
 from itertools import product
 
 import numpy as np
@@ -159,3 +160,47 @@ def test_exhaustive_scan_matches_scan_of_every_vector():
             assert ok == ref_ok
             if not ok:
                 assert np.array_equal(sub.basis_matrix(), ref.basis_matrix())
+
+
+@pytest.mark.parametrize("spec", ["hat:agl:1,8;2", "lk:sym:4,3"])
+def test_section_towers_reuse_verified_chains(monkeypatch, spec):
+    from maxsub.cli import parse_spec
+    from maxsub.structure import chief_series
+    built = []
+    towers = []
+    real_chain = modules.StabilizerChain
+    real_init = modules.TowerCoordinates.__init__
+
+    def counted_chain(*args, **kwargs):
+        built.append(1)
+        return real_chain(*args, **kwargs)
+
+    def recorded_init(self, W, K, p):
+        before = len(built)
+        real_init(self, W, K, p)
+        towers.append((self, W, K, p, len(built) - before))
+
+    monkeypatch.setattr(modules, "StabilizerChain", counted_chain)
+    monkeypatch.setattr(modules.TowerCoordinates, "__init__", recorded_init)
+    chief_series(parse_spec(spec).resolved)
+    assert towers
+    rng = random.Random(spec)
+    for tower, W, K, p, chains_built in towers:
+        assert chains_built == tower.width
+        assert tower.chains[0] is K.chain
+        assert [c.order for c in tower.chains] == \
+            [K.order * p ** i for i in range(tower.width + 1)]
+        assert tower.chains[-1].order == W.order
+        gens = W.chain.strong_generators()
+
+        def word():
+            out = rng.choice(gens)
+            for _ in range(rng.randrange(4)):
+                out = out * rng.choice(gens)
+            return out
+
+        for _ in range(20):
+            x, y = word(), word()
+            assert np.array_equal(
+                tower.coords_arr((x * y).images),
+                (tower.coords_arr(x.images) + tower.coords_arr(y.images)) % p)
