@@ -71,8 +71,7 @@ def bound_mn(prof, n):
     as `eta_kappa` leaves eta)."""
     rep = BoundReport(n)
     if prof.m_exact is not None:
-        rep.m_exact = prof.m_exact.get(n, 0 if "m_exact" not in prof.skipped
-                                       else None)
+        rep.m_exact = prof.m_exact.get(n, 0)
     d = prof.d
     if d is None:
         return rep
@@ -278,28 +277,6 @@ def check_b2(G):
         for n, cnt in sorted(counts.items()):
             results.append((rec.core.order, n, cnt, cnt <= n * n))
     return results
-
-
-def abelian_crown_bound(n, d, q, h1, normal=False):
-    """Cap on the maximal subgroups attached to one abelian crown class.
-
-    Non-normal case: (n^d - n*h1)/(q - 1); normal case: (n^d - 1)/(n - 1).
-    Always at most n^d - 1.
-    """
-    if q < 2:
-        raise ValueError(
-            "q is the size of an endomorphism field, hence at least 2")
-    if h1 < 1:
-        raise ValueError("h1 is a cohomology group size, hence at least 1")
-    if normal:
-        value = (n ** d - 1) // (n - 1)
-    else:
-        num = n ** d - n * h1
-        value = num // (q - 1)
-    cap = n ** d - 1
-    if value > cap:
-        raise RuntimeError("crown bound exceeded its stated cap")
-    return value
 
 
 def markdown_bound_table(reports):

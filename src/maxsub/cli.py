@@ -160,7 +160,7 @@ def _provenance(args):
 def _profile_report(G, args):
     prof = profile(G, seed=args.seed, lattice_limit=args.lattice_limit)
     indices = sorted(set(prof.cr_ab) | set(prof.rks) | set(prof.rko)
-                     | set(prof.m_exact or {}))
+                     | set(prof.m_exact))
     reports = [bound_mn(prof, n) for n in indices if n >= 2]
     nurep = eta_kappa(prof, mroute_indices=indices)
     return prof, reports, nurep

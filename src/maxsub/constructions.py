@@ -16,9 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bsgs import LimitExceeded
-from .group import (DEFAULT_COSET_LIMIT, GroupHandle, coset_action,
-                    generates, group_from_generators, is_abelian, is_normal,
-                    kernel_of_action, small_generating_set)
+from .group import (GroupHandle, generates, group_from_generators,
+                    is_abelian, is_normal, small_generating_set)
 from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
 from .modules import SectionSpace, intertwiner_space_dim, minimal_submodule
 from .perms import Permutation
@@ -77,14 +76,6 @@ def end_size(L, N):
     return p ** e
 
 
-def h1_size(L, N):
-    """|H^1(L/N, N)| = (number of complements of N in L) / |N|."""
-    cnt = complement_solution_count(L, N, L.subgroup([], known_order=1))
-    if cnt % N.order:
-        raise RuntimeError("complement count is not divisible by |N|")
-    return cnt // N.order
-
-
 def build_Lk(L, N, k):
     """The congruence subgroup of L^k of tuples equal modulo N, realized on
     k copies of the points of L."""
@@ -111,57 +102,6 @@ def build_Lk(L, N, k):
     order = N.order ** (k - 1) * L.order
     tower = group_from_generators(total, gens, name=f"L_{k}", known_order=order)
     return CrownedTower(L, N, k, tower, q, h1)
-
-
-def tower_quotient_fingerprint(tower_handle, L, N, k):
-    """Fingerprint equality of L_k / N^k with L/N (order plus the multiset
-    of element orders of the materialized quotients)."""
-    deg = L.degree
-    nk_gens = []
-    for c in range(k):
-        for gn in N.generators:
-            arr = np.arange(tower_handle.degree, dtype=np.int32)
-            arr[c * deg:(c + 1) * deg] = gn.images + c * deg
-            nk_gens.append(Permutation(arr))
-    NK = tower_handle.subgroup(nk_gens, known_order=N.order ** k)
-    act = coset_action(tower_handle, NK)
-    q1 = act.quotient
-    act2 = coset_action(L, N)
-    q2 = act2.quotient
-    if q1.order != q2.order:
-        return False
-    f1 = sorted(p.order() for p in q1.elements(limit=DEFAULT_COSET_LIMIT))
-    f2 = sorted(p.order() for p in q2.elements(limit=DEFAULT_COSET_LIMIT))
-    return f1 == f2
-
-
-def f_of_d(L, N, d):
-    """1 + log_q(|N|^(d-1) / |H1|): the tower height at which the minimal
-    generator count first exceeds d."""
-    q = end_size(L, N)
-    h1 = h1_size(L, N)
-    dL = _min_gens_of(L)
-    if d < dL:
-        raise ValueError(f"d must be at least d(L) = {dL}")
-    num = N.order ** (d - 1)
-    if num % h1:
-        raise ValueError("|N|^(d-1) is not divisible by |H1|")
-    ratio = num // h1
-    k = 0
-    while ratio > 1:
-        if ratio % q:
-            raise ValueError("|N|^(d-1)/|H1| is not an exact power of q")
-        ratio //= q
-        k += 1
-    return 1 + k
-
-
-def _min_gens_of(L):
-    from .invariants import min_generators
-    r = min_generators(L)
-    if not r.certified:
-        raise LimitExceeded("d(L) could not be certified")
-    return r.value
 
 
 # -- automorphisms ----------------------------------------------------------------
@@ -481,16 +421,6 @@ def subdirect(factors):
     return H
 
 
-def verify_subdirect_projections(H):
-    """Each block projection restricted to the subdirect product is onto."""
-    blocks = H._cache.get("subdirect_blocks")
-    if blocks is None:
-        raise ValueError("handle does not carry subdirect metadata")
-    return all(generates(Gi, [Permutation(g.images[off:off + Gi.degree] - off)
-                              for g in H.generators])
-               for Gi, off in blocks)
-
-
 def hat(G, d, materialize_degree_limit=MATERIALIZE_DEGREE_LIMIT,
         lattice_limit=DEFAULT_ORDER_LIMIT):
     """The subdirect product over one representative generating d-tuple per
@@ -503,22 +433,3 @@ def hat(G, d, materialize_degree_limit=MATERIALIZE_DEGREE_LIMIT,
     H = subdirect([(G, rep) for rep in census.orbit_representatives])
     H.name = f"hat({G.name},{d})"
     return H, census
-
-
-def distinct_projection_kernels(H):
-    """Orders of the kernels of the block projections, used to check that
-    distinct orbit representatives give distinct kernels."""
-    blocks = H._cache.get("subdirect_blocks")
-    kernels = []
-    for Gi, off in blocks:
-        arrs = [g.images[off:off + Gi.degree] - off for g in H.generators]
-        K = kernel_of_action(H, arrs, Gi.degree)
-        kernels.append(K)
-    distinct = True
-    for i in range(len(kernels)):
-        for j in range(i + 1, len(kernels)):
-            Ki, Kj = kernels[i], kernels[j]
-            if Ki.order == Kj.order and \
-                    all(Kj.contains(g) for g in Ki.generators):
-                distinct = False
-    return kernels, distinct

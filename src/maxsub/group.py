@@ -100,10 +100,6 @@ def group_from_generators(degree, gens, name=None, known_order=None):
     return G
 
 
-def trivial_group(degree=1):
-    return group_from_generators(degree, [], name="1")
-
-
 # -- epimorphisms ----------------------------------------------------------
 
 class Epimorphism:
@@ -271,10 +267,6 @@ def commutators(gens):
     """[a, b] = a^-1 b^-1 a b for every pair of generators, a listed first."""
     return [a.inv() * b.inv() * a * b
             for i, a in enumerate(gens) for b in gens[i + 1:]]
-
-
-def derived_subgroup(G):
-    return normal_closure(G, commutators(G.generators))
 
 
 def is_abelian(G):

@@ -1,13 +1,18 @@
 """Invariant profiles: every quantity the bound machinery consumes.
 
 A profile is exact integer data throughout; logarithms only appear in the
-bounds module.  Fields that a budget prevented from being computed carry an
-entry in `skipped` instead of a guessed value.
+bounds module.  The m_n map, and with it min_index and script_M, is read
+off the crowns at every order (`crown_m_map`), so no subgroup lattice of G
+itself is needed.  A field that a budget kept from being certified carries
+an entry in `skipped` instead of a guessed value; only `lambda` (a
+Frattini flag left undecided) and `d` (a generator count left uncertified)
+ever do.
 
-Direct and subdirect products assemble their profiles from the factor
-profiles after cross-factor isomorphism and connectedness checks; this is
-how the large constructed groups are analyzed without ever enumerating
-their subgroups.
+Direct products assemble their profiles from the factor profiles.  Their
+crowns are merged from the factors' crowns: central crowns of one order
+merge, and so do non-abelian crowns linked across factors by a type-3
+diagonal.  This is how the large products are analyzed without ever
+enumerating their subgroups.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ import math
 import random
 
 from .bsgs import LimitExceeded
-from .group import (derived_subgroup, direct_product, generates, is_abelian,
-                    small_generating_set)
-from .lattice import (DEFAULT_ORDER_LIMIT, m_n_map, maximal_subgroups,
-                      subgroup_classes)
-from .simptable import is_prime
-from .structure import (_conjugacy_class_reps, _conjugation_orbit_reps,
+from .constructions import automorphisms
+from .group import direct_product, generates, is_abelian, small_generating_set
+from .lattice import DEFAULT_ORDER_LIMIT, maximal_subgroups, subgroup_classes
+from .modules import cocycle_dim, intertwiner_space_dim
+from .structure import (CrownRecord, _conjugacy_class_reps,
+                        _conjugation_orbit_reps,
                         _has_diagonal_corefree_maximal, chief_series, crowns,
                         ensure_factor_flags)
 
@@ -30,9 +35,6 @@ RANDOM_ACCEPT_TRIALS = 40
 
 
 class InvariantProfile:
-    FIELDS = ("order", "d", "min_index", "lambda_", "cr_ab", "rks", "rko",
-              "rkm", "s", "rk_iso", "m_exact", "script_M")
-
     def __init__(self):
         self.order = None
         self.d = None
@@ -51,7 +53,6 @@ class InvariantProfile:
         self.r = None                # chief series length
         self.r_a = None
         self.r_b = None
-        self.central_crowns = {}     # order -> number of central abelian crowns
         self.rks_rko_overlap = {}    # n -> factors of order n also counted in rks_n
         self.skipped = {}
 
@@ -204,25 +205,16 @@ def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
             prof.ab[d.order] = prof.ab.get(d.order, 0) + 1
         else:
             prof.rko[d.order] = prof.rko.get(d.order, 0) + 1
-    for c in cs:
-        if c.abelian:
-            prof.cr_ab[c.order] = prof.cr_ab.get(c.order, 0) + 1
-            if _crown_is_central(c):
-                prof.central_crowns[c.order] = \
-                    prof.central_crowns.get(c.order, 0) + 1
-        else:
-            prof.s[c.order] = prof.s.get(c.order, 0) + 1
-            prof.rkm[c.order] = max(prof.rkm.get(c.order, 0), c.length)
     # rks and rk_iso per non-abelian factor
     for d in facs:
         if d.abelian:
             continue
         label = d.simple_id if d.copies == 1 else f"{d.simple_id}^{d.copies}"
         prof.rk_iso[label] = prof.rk_iso.get(label, 0) + 1
-        indices = _corefree_maximal_indices(d, lattice_limit)
-        for n in indices:
+        counts = _corefree_maximal_counts(d, lattice_limit)
+        for n in counts:
             prof.rks[n] = prof.rks.get(n, 0) + 1
-        if d.order in indices:
+        if d.order in counts:
             prof.rks_rko_overlap[d.order] = \
                 prof.rks_rko_overlap.get(d.order, 0) + 1
     mg = min_generators(G, seed=seed, lattice_limit=lattice_limit)
@@ -231,48 +223,94 @@ def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
     else:
         prof.skipped["d"] = f"bracket [{mg.lower}, {mg.upper}]"
         prof.d = mg.upper
-    if G.order <= lattice_limit:
-        prof.m_exact = m_n_map(G, lattice_limit)
-        lat = subgroup_classes(G, lattice_limit)
-        proper = [c for c in lat.classes if c.order < G.order]
-        prof.min_index = min(G.order // c.order for c in proper) if proper else None
-        prof.script_M = _script_m_from_map(prof.m_exact)
-    else:
-        prof.m_exact = _partial_m_exact(G, prof)
-        prof.skipped["m_exact"] = \
-            "normal-count route only (no subgroup lattice at this order)"
-        prof.skipped["script_M"] = "exact m_n map unavailable at this order"
-        prof.min_index = _min_index_from_profile(prof)
-        if prof.min_index is None:
-            prof.skipped["min_index"] = "no certified maximal index data"
+    _fill_crown_fields(prof, cs, lattice_limit)
     G._cache[key] = prof
     return prof
 
 
-def _crown_is_central(c):
-    import numpy as np
-    d = c.factor_class
-    dim = d.dim
-    for M in d.space.gen_matrices:
-        if not np.array_equal(M % d.prime, np.eye(dim, dtype=M.dtype) % d.prime):
-            return False
-    return True
-
-
-def _corefree_maximal_indices(d, lattice_limit):
-    """Indices of core-free maximal subgroups of the primitive group
-    attached to a non-abelian chief factor (refused above the lattice
-    limit: the bounds would read the missing rks as 0)."""
+def _corefree_maximal_counts(d, lattice_limit):
+    """c_n(P) per index n: the core-free maximal subgroups of the primitive
+    group P attached to a non-abelian chief factor (refused above the
+    lattice limit: the bounds would read the missing rks as 0)."""
     P = d.factor_action.primitive
     if P.order > lattice_limit:
         raise LimitExceeded(
             f"rks needs the subgroup lattice of a primitive quotient of "
             f"order {P.order}, above the lattice limit {lattice_limit}")
-    out = set()
+    out = {}
     for rec in maximal_subgroups(P, lattice_limit):
         if rec.core.order == 1:
-            out.add(rec.index)
-    return sorted(out)
+            out[rec.index] = out.get(rec.index, 0) + rec.class_ref.class_size
+    return out
+
+
+def _automorphisms_trivial_on_top(d):
+    """a(P): the automorphisms of the primitive group P of a non-abelian
+    chief factor H/K that act trivially on P/N, where N = soc(P) is the
+    image of H."""
+    fa = d.factor_action
+    P = fa.primitive
+    N = P.subgroup([fa.to_primitive(h) for h in d.section.upper.generators])
+    aut = automorphisms(P)
+    gens = [aut.table.perm_of(a).inv() for a in aut.gen_tuple]
+    return sum(all(N.contains(g * aut.table.perm_of(b))
+                   for g, b in zip(gens, images))
+               for images in aut.gen_images)
+
+
+def crown_m_map(crown_list, lattice_limit):
+    """Exact m_n, the number of maximal subgroups of index n, from the
+    crowns of G (Gaschuetz, "Praefrattinigruppen", Arch. Math. 13 (1962);
+    Dalla Volta and Lucchini, J. Austral. Math. Soc. 64 (1998)).
+
+    Each crown, of length delta, adds to one or more indices:
+
+    * central abelian, of order p: (p^delta - 1)/(p - 1) at index p;
+    * non-central abelian A: z (q^delta - 1)/(q - 1) at index |A|, where
+      q = |End_G(A)| and z = |Z^1(L, A)| for the linear group L = G/C_G(A),
+      the number of complements of A in A x| L (the central case is this
+      one with L = 1, z = 1 and q = p);
+    * non-abelian, with primitive group P and N = soc(P): delta c_n(P) at
+      each n, where c_n(P) counts the core-free maximal subgroups of P of
+      index n, and, when delta >= 2, C(delta, 2) a(P) diagonal subgroups
+      of index |N|, where a(P) counts the automorphisms of P that act
+      trivially on P/N.
+
+    Frattini chief factors are in no crown and add nothing."""
+    out = {}
+
+    def add(n, count):
+        out[n] = out.get(n, 0) + count
+
+    for c in crown_list:
+        d = c.factor_class
+        if c.abelian:
+            p, mats = d.prime, d.space.gen_matrices
+            q = p ** intertwiner_space_dim(mats, mats, p)
+            z = p ** cocycle_dim(
+                mats, p, d.section.parent.order // d.centralizer.order)
+            add(c.order, z * (q ** c.length - 1) // (q - 1))
+            continue
+        for n, count in _corefree_maximal_counts(d, lattice_limit).items():
+            add(n, c.length * count)
+        if c.length >= 2:
+            add(c.order, math.comb(c.length, 2)
+                * _automorphisms_trivial_on_top(d))
+    return dict(sorted(out.items()))
+
+
+def _fill_crown_fields(prof, crown_list, lattice_limit):
+    """cr_ab, s, rkm and the m_n map with what it decides: min_index (its
+    least key) and script_M."""
+    for c in crown_list:
+        if c.abelian:
+            prof.cr_ab[c.order] = prof.cr_ab.get(c.order, 0) + 1
+        else:
+            prof.s[c.order] = prof.s.get(c.order, 0) + 1
+            prof.rkm[c.order] = max(prof.rkm.get(c.order, 0), c.length)
+    prof.m_exact = crown_m_map(crown_list, lattice_limit)
+    prof.min_index = min(prof.m_exact) if prof.m_exact else None
+    prof.script_M = _script_m_from_map(prof.m_exact)
 
 
 def _script_m_from_map(m_map):
@@ -286,69 +324,6 @@ def _script_m_from_map(m_map):
         if best is None or val > best[0] + 1e-15:
             best = (val, n)
     return best if best else "-inf"
-
-
-def _abelianization_p_rank(G, p):
-    """Rank of G/(G' G^p) over GF(p)."""
-    D = derived_subgroup(G)
-    gens = list(D.generators) + [g ** p for g in G.generators]
-    X = G.subgroup(gens)
-    X.chain
-    quotient = G.order // X.order
-    k = 0
-    while quotient % p == 0:
-        quotient //= p
-        k += 1
-    if quotient != 1:
-        raise RuntimeError("abelianization power subgroup has bad index")
-    return k
-
-
-def _partial_m_exact(G, prof):
-    """m_p for primes p where every index-p maximal is provably normal:
-    p prime, rks_p = 0, and every order-p crown is central."""
-    out = {}
-    for p in sorted(set(prof.ab) | set(prof.cr_ab)):
-        if not is_prime(p):
-            continue
-        if prof.rks.get(p, 0):
-            continue
-        if prof.cr_ab.get(p, 0) != prof.central_crowns.get(p, 0):
-            continue
-        if prof.cr_ab.get(p, 0) == 0:
-            continue
-        k = _abelianization_p_rank(G, p)
-        if k:
-            out[p] = (p ** k - 1) // (p - 1)
-    return out
-
-
-def _min_index_from_profile(prof):
-    candidates = []
-    candidates.extend(n for n, c in prof.cr_ab.items() if c > 0)
-    candidates.extend(n for n, c in prof.rks.items() if c > 0)
-    candidates.extend(n for n, c in prof.s.items()
-                      if c > 0 and prof.rkm.get(n, 0) >= 2)
-    return min(candidates) if candidates else None
-
-
-def _partial_m_exact_product(G, profs, out):
-    """Normal-count m_p route on an assembled product profile: the p-ranks
-    of the factor abelianizations add."""
-    res = {}
-    for p in sorted(set(out.ab)):
-        if not is_prime(p):
-            continue
-        if out.rks.get(p, 0):
-            continue
-        if out.cr_ab.get(p, 0) == 0:
-            continue
-        if out.cr_ab.get(p, 0) != out.central_crowns.get(p, 0):
-            continue
-        k = sum(_abelianization_p_rank(F, p) for F, _ in G.product_factors)
-        if k:
-            res[p] = (p ** k - 1) // (p - 1)
-    return res
 
 
 # -- assembled profiles for (sub)direct products --------------------------------
@@ -375,28 +350,6 @@ def _assemble_product_profile(G, seed, lattice_limit):
             out.rk_iso[lbl] = out.rk_iso.get(lbl, 0) + c
         for n, c in p.rks_rko_overlap.items():
             out.rks_rko_overlap[n] = out.rks_rko_overlap.get(n, 0) + c
-    # cross-factor merging of abelian crowns: only central crowns of equal
-    # order can be isomorphic across distinct direct factors (a noncentral
-    # action has different kernels in different components)
-    central = {}
-    for p in profs:
-        for n, c in p.central_crowns.items():
-            central.setdefault(n, []).append(c)
-        for n, c in p.cr_ab.items():
-            out.cr_ab[n] = out.cr_ab.get(n, 0) + c
-    for n, counts in central.items():
-        if len(counts) > 1:
-            # the central order-n crowns of all factors merge into one class
-            merge = sum(counts) - 1
-            out.cr_ab[n] -= merge
-            out.central_crowns[n] = 1
-        else:
-            out.central_crowns[n] = counts[0]
-    # non-abelian crowns: factor crowns merge when a type-3 link exists
-    merged = _merge_nonabelian_crowns(factors, seed)
-    for n, lengths in merged.items():
-        out.s[n] = len(lengths)
-        out.rkm[n] = max(lengths)
     # d: the handle's own generators bound d from above
     dgen = len(G.generators)
     mg_vals = [p.d for p in profs if p.d is not None]
@@ -413,39 +366,48 @@ def _assemble_product_profile(G, seed, lattice_limit):
             out.d = upper
             out.skipped["d"] = (f"bracket [{max(lower, mg.lower)}, {upper}] "
                                 "(product d not certified)")
-    mins = [p.min_index for p in profs if p.min_index is not None]
-    out.min_index = min(mins) if mins else None
-    out.m_exact = _partial_m_exact_product(G, profs, out)
-    out.skipped["m_exact"] = "normal-count route only (assembled profile)"
-    out.skipped["script_M"] = "exact m_n map unavailable (assembled profile)"
+    _fill_crown_fields(out, _product_crowns(factors, seed), lattice_limit)
     return out
 
 
-def _merge_nonabelian_crowns(factors, seed):
-    """Crown lengths per order after linking across direct factors."""
-    entries = []   # (factor index, crown, primitive group builder)
+def _product_crowns(factors, seed):
+    """The crowns of a direct product, merged from those of its factors.
+
+    Central crowns (C_F(A) = F) of one order merge across the factors, and
+    so do non-abelian crowns with a type-3 link between them.  A non-central
+    abelian crown acts with a different kernel in each factor, so it stays
+    on its own."""
+    out, central, linked = [], {}, []
     for fi, F in enumerate(factors):
         for c in crowns(F, seed=seed):
             if not c.abelian:
-                entries.append((fi, c))
-    merged = {}
-    used = [False] * len(entries)
-    for i, (fi, ci) in enumerate(entries):
+                linked.append((fi, c))
+            elif c.factor_class.centralizer.order == F.order:
+                central.setdefault(c.order, []).append(c)
+            else:
+                out.append(c)
+    out += [_joined(cs) for cs in central.values()]
+    used = [False] * len(linked)
+    for i, (fi, ci) in enumerate(linked):
         if used[i]:
             continue
-        used[i] = True
-        lengths = ci.length
-        for j in range(i + 1, len(entries)):
-            fj, cj = entries[j]
-            if used[j] or cj.order != ci.order:
-                continue
-            if fi == fj:
-                continue  # same factor: already distinct crowns
-            if _cross_factor_connected(factors[fi], ci, factors[fj], cj):
-                lengths += cj.length
+        joined = [ci]
+        for j in range(i + 1, len(linked)):
+            fj, cj = linked[j]
+            # crowns of one factor are distinct already
+            if (not used[j] and fj != fi and cj.order == ci.order
+                    and _cross_factor_connected(factors[fi], ci,
+                                                factors[fj], cj)):
+                joined.append(cj)
                 used[j] = True
-        merged.setdefault(ci.order, []).append(lengths)
-    return merged
+        out.append(_joined(joined))
+    return out
+
+
+def _joined(cs):
+    """One crown whose chief factors are those of all the given crowns."""
+    return CrownRecord(cs[0].factor_class, [m for c in cs for m in c.members],
+                       cs[0].abelian)
 
 
 def _cross_factor_connected(Fi, ci, Fj, cj):
@@ -469,18 +431,9 @@ def _cross_factor_connected(Fi, ci, Fj, cj):
 
 def m_n(G, n, lattice_limit=DEFAULT_ORDER_LIMIT):
     """Exact number of index-n maximal subgroups."""
-    prof = profile(G, lattice_limit=lattice_limit)
-    if prof.m_exact is None:
-        raise LimitExceeded("maximal enumeration unavailable")
-    if "m_exact" in prof.skipped and n not in prof.m_exact:
-        raise LimitExceeded(
-            f"m_{n} not provably computable without the lattice")
-    return prof.m_exact.get(n, 0)
+    return profile(G, lattice_limit=lattice_limit).m_exact.get(n, 0)
 
 
 def script_M(G, lattice_limit=DEFAULT_ORDER_LIMIT):
-    """Exact script-M: max over n of log_n m_n (None markers when partial)."""
-    prof = profile(G, lattice_limit=lattice_limit)
-    if "script_M" in prof.skipped:
-        raise LimitExceeded(prof.skipped["script_M"])
-    return prof.script_M
+    """Exact script-M: max over n of log_n m_n, or "-inf"."""
+    return profile(G, lattice_limit=lattice_limit).script_M

@@ -25,6 +25,7 @@ from itertools import product
 import numpy as np
 
 from .bsgs import LimitExceeded, StabilizerChain
+from .group import DEFAULT_COSET_LIMIT
 from .perms import Permutation
 
 _VEC_DTYPE = np.int16
@@ -505,3 +506,52 @@ def intertwiner_space_dim(mats_a, mats_b, p):
         if space.add(big[i]):
             rank += 1
     return da * db - rank
+
+
+def cocycle_dim(mats, p, order):
+    """Dimension of Z^1(L, A) over GF(p): A = GF(p)^dim with L, the linear
+    group of the given order generated by the right-action matrices M_s,
+    acting by v -> v M_s.
+
+    A cocycle (f(xy) = f(x) M_y + f(y)) is fixed by its values u_s on the
+    generators, the unknowns.  Along a breadth-first spanning tree of the
+    Cayley graph of L, f(x s) = f(x) M_s + u_s writes f(x) = u C_x for a
+    matrix C_x; each non-tree edge x -> x s gives the equations
+    u (C_x M_s + E_s - C_{xs}) = 0, where u E_s = u_s.  These edges present
+    L, so their solutions are exactly the cocycles.  The coboundaries have
+    dimension dim - dim(A^L), so the equations stop once their rank leaves
+    no room for more.  Refused above the coset limit, before the search."""
+    if order > DEFAULT_COSET_LIMIT:
+        raise LimitExceeded(
+            f"cocycles need the {order} elements of a linear group, above "
+            f"the coset limit {DEFAULT_COSET_LIMIT}")
+    mats = [np.asarray(M, dtype=np.int64) % p for M in mats]
+    dim = mats[0].shape[0]
+    width = len(mats) * dim
+    eye = np.eye(dim, dtype=np.int64)
+    fixed = len(_nullspace(np.concatenate([M - eye for M in mats], axis=1)
+                           % p, p))
+    most = width - dim + fixed        # the rank when Z^1 is B^1
+    sel = np.zeros((len(mats), width, dim), dtype=np.int64)
+    for s in range(len(mats)):
+        sel[s, s * dim:(s + 1) * dim] = eye
+    coeff = {eye.tobytes(): np.zeros((width, dim), dtype=np.int64)}
+    queue = [eye]
+    eqs = Subspace(p, width)
+    for x in queue:
+        cx = coeff[x.tobytes()]
+        for M, E in zip(mats, sel):
+            y = x @ M % p
+            cy = (cx @ M + E) % p
+            old = coeff.setdefault(y.tobytes(), cy)
+            if old is cy:
+                queue.append(y)
+                continue
+            for col in ((cy - old) % p).T:
+                eqs.add(col)
+            if eqs.dim == most:
+                return width - most
+    if len(coeff) != order:
+        raise RuntimeError(
+            f"linear group has {len(coeff)} elements, expected {order}")
+    return width - eqs.dim

@@ -15,8 +15,9 @@ import random
 from fractions import Fraction
 
 from .bsgs import LimitExceeded
-from .group import generates
+from .group import generates, is_abelian
 from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
+from .simptable import prime_factors
 
 BRUTE_TUPLE_BUDGET = 500_000
 MC_MEMO_BYTES = 16 * 2**20  # a tuple memo is kept only if every k-tuple fits
@@ -55,6 +56,15 @@ def phi(G, d, lattice_limit=DEFAULT_ORDER_LIMIT):
         raise ValueError("tuple arity must be nonnegative")
     if d == 0:
         return 1 if G.order == 1 else 0
+    if d == 1:
+        # one element generates G exactly when G is cyclic, that is abelian
+        # with exponent |G| (for an abelian group, the lcm of the orders of
+        # its generators); a cyclic group of order n has Euler's totient
+        # of n elements of order n, and these are its generators
+        if is_abelian(G) and math.lcm(*[g.order() for g in G.generators]) \
+                == G.order:
+            return _totient(G.order)
+        return 0
     if G.order <= lattice_limit:
         return subgroup_classes(G, lattice_limit).eulerian(d)
     if G.order ** d <= BRUTE_TUPLE_BUDGET:
@@ -62,6 +72,12 @@ def phi(G, d, lattice_limit=DEFAULT_ORDER_LIMIT):
     raise LimitExceeded(
         f"phi needs a lattice (order <= {lattice_limit}) or "
         f"|G|^d <= {BRUTE_TUPLE_BUDGET}")
+
+
+def _totient(n):
+    for p in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def _phi_brute(G, d):

@@ -508,19 +508,22 @@ def _matrix_actions(vecs, p, mats):
 
 
 def _disambiguate_simple(fa, H):
-    """Order 20160: Alt(8) has elements of order 15, PSL(3,4) does not."""
-    # image of H is the factor itself (H/K embeds via conjugation action)
-    factor_group = fa.primitive.subgroup(
-        [fa.to_primitive(h) for h in H.generators])
-    rng = random.Random(0xD15A)
-    found15 = False
-    for _ in range(4000):
-        x = factor_group.uniform_random(rng)
-        if x.order() % 15 == 0:
-            found15 = True
-            break
+    """Order 20160: Alt(8) has elements of order 15, PSL(3,4) has none.
+
+    The factor is the image of H in the primitive group.  Being simple, it
+    acts faithfully on each of its non-trivial orbits, so the census of its
+    elements runs on the shortest one."""
+    T = fa.primitive.subgroup([fa.to_primitive(h) for h in H.generators])
+    pts = min((o for o in _orbit_partition(T) if len(o) > 1), key=len)
+    pos = {p: i for i, p in enumerate(pts)}
+    T = group_from_generators(
+        len(pts), [Permutation(_restrict(g.images, pts, pos))
+                   for g in T.generators])
+    if T.order != 20160:
+        raise RuntimeError("simple factor of order 20160 acts unfaithfully")
+    found15 = any(x.order() == 15 for x in T.chain.iter_elements())
     name = "Alt(8)" if found15 else "PSL(3,4)"
-    note = ("order 20160 resolved by element-order scan "
+    note = ("order 20160 resolved by a census of the factor's elements "
             f"(order-15 element {'found' if found15 else 'absent'})")
     return name, note
 
@@ -957,7 +960,7 @@ def _partition(G, items, rel):
     return groups
 
 
-# -- Baer classification and associated primitive groups ------------------------
+# -- Baer classification ------------------------------------------------------
 
 def classify_maximal(G, M):
     """Baer type (1, 2 or 3) of a maximal subgroup via its primitive
@@ -973,23 +976,3 @@ def classify_maximal(G, M):
     raise RuntimeError(
         f"quotient by the core has {len(mins)} minimal normal subgroups; "
         "was the subgroup really maximal?")
-
-
-def associated_primitive(G, d):
-    """The primitive group attached to a chief factor: the affine extension
-    for abelian factors, the centralizer quotient for non-abelian ones."""
-    if not d.abelian:
-        return d.factor_action.primitive
-    p = d.prime
-    vecs = _vectors(p, d.dim)
-    npoints = len(vecs)
-    # translations by the unit vectors, then the linear action
-    gens = [Permutation(_vector_codes(vecs + e, p))
-            for e in np.eye(d.dim, dtype=np.int64)]
-    gens += [Permutation(a)
-             for a in _matrix_actions(vecs, p, d.space.gen_matrices)]
-    P = group_from_generators(npoints, gens, name="associated-primitive")
-    expected = npoints * (G.order // d.centralizer.order)
-    if P.order != expected:
-        raise RuntimeError("affine primitive group has unexpected order")
-    return P

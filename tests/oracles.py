@@ -3,13 +3,24 @@
 Everything here is deliberately naive: closures by repeated multiplication,
 lattices by exhaustive sweeps, probabilities by counting.  These functions
 never call into the algorithms they are meant to check.
+
+The last section holds checks that only the tests use: each is built from
+`maxsub` primitives other than the one it checks.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from maxsub.bsgs import LimitExceeded
+from maxsub.constructions import end_size
+from maxsub.group import (DEFAULT_COSET_LIMIT, commutators, coset_action,
+                          generates, group_from_generators, kernel_of_action,
+                          normal_closure, small_generating_set)
+from maxsub.invariants import min_generators
 from maxsub.perms import Permutation
+from maxsub.structure import (_matrix_actions, _vector_codes, _vectors,
+                              complement_solution_count)
 
 
 def naive_closure(degree, gens, limit=200000):
@@ -115,3 +126,138 @@ def naive_normalizers_outside(table, H_indices, H_gens):
     members = set(int(i) for i in H_indices)
     return [g for g in range(table.n) if g not in members
             and all(table.conj(h, g) in members for h in H_gens)]
+
+
+# -- checks used only by the tests ------------------------------------------
+
+def trivial_group(degree=1):
+    return group_from_generators(degree, [], name="1")
+
+
+def derived_subgroup(G):
+    return normal_closure(G, commutators(G.generators))
+
+
+def h1_size(L, N):
+    """|H^1(L/N, N)| = (number of complements of N in L) / |N|."""
+    cnt = complement_solution_count(L, N, L.subgroup([], known_order=1))
+    if cnt % N.order:
+        raise RuntimeError("complement count is not divisible by |N|")
+    return cnt // N.order
+
+
+def associated_primitive(G, d):
+    """The primitive group attached to a chief factor: the affine extension
+    A x| G/C_G(A) of an abelian factor A, the centralizer quotient of a
+    non-abelian one.
+
+    The affine group is generated by one translation and enough of the
+    linear generators: the conjugates of one translation span the
+    irreducible A, and the complement search in it grows as |A| to the
+    number of generators."""
+    if not d.abelian:
+        return d.factor_action.primitive
+    p = d.prime
+    vecs = _vectors(p, d.dim)
+    npoints = len(vecs)
+    expected = npoints * (G.order // d.centralizer.order)
+    shift = np.zeros(d.dim, dtype=np.int64)
+    shift[0] = 1
+    cands = [Permutation(_vector_codes(vecs + shift, p))]
+    cands += [Permutation(a)
+              for a in _matrix_actions(vecs, p, d.space.gen_matrices)]
+    gens = small_generating_set(npoints, cands, expected)
+    return group_from_generators(npoints, gens, name="associated-primitive")
+
+
+def tower_quotient_fingerprint(tower_handle, L, N, k):
+    """Fingerprint equality of L_k / N^k with L/N (order plus the multiset
+    of element orders of the materialized quotients)."""
+    deg = L.degree
+    nk_gens = []
+    for c in range(k):
+        for gn in N.generators:
+            arr = np.arange(tower_handle.degree, dtype=np.int32)
+            arr[c * deg:(c + 1) * deg] = gn.images + c * deg
+            nk_gens.append(Permutation(arr))
+    NK = tower_handle.subgroup(nk_gens, known_order=N.order ** k)
+    q1 = coset_action(tower_handle, NK).quotient
+    q2 = coset_action(L, N).quotient
+    if q1.order != q2.order:
+        return False
+    f1 = sorted(p.order() for p in q1.elements(limit=DEFAULT_COSET_LIMIT))
+    f2 = sorted(p.order() for p in q2.elements(limit=DEFAULT_COSET_LIMIT))
+    return f1 == f2
+
+
+def f_of_d(L, N, d):
+    """1 + log_q(|N|^(d-1) / |H1|): the tower height at which the minimal
+    generator count first exceeds d."""
+    q = end_size(L, N)
+    h1 = h1_size(L, N)
+    r = min_generators(L)
+    if not r.certified:
+        raise LimitExceeded("d(L) could not be certified")
+    if d < r.value:
+        raise ValueError(f"d must be at least d(L) = {r.value}")
+    num = N.order ** (d - 1)
+    if num % h1:
+        raise ValueError("|N|^(d-1) is not divisible by |H1|")
+    ratio = num // h1
+    k = 0
+    while ratio > 1:
+        if ratio % q:
+            raise ValueError("|N|^(d-1)/|H1| is not an exact power of q")
+        ratio //= q
+        k += 1
+    return 1 + k
+
+
+def verify_subdirect_projections(H):
+    """Each block projection restricted to the subdirect product is onto."""
+    blocks = H._cache.get("subdirect_blocks")
+    if blocks is None:
+        raise ValueError("handle does not carry subdirect metadata")
+    return all(generates(Gi, [Permutation(g.images[off:off + Gi.degree] - off)
+                              for g in H.generators])
+               for Gi, off in blocks)
+
+
+def distinct_projection_kernels(H):
+    """Orders of the kernels of the block projections, used to check that
+    distinct orbit representatives give distinct kernels."""
+    blocks = H._cache.get("subdirect_blocks")
+    kernels = []
+    for Gi, off in blocks:
+        arrs = [g.images[off:off + Gi.degree] - off for g in H.generators]
+        kernels.append(kernel_of_action(H, arrs, Gi.degree))
+    distinct = True
+    for i in range(len(kernels)):
+        for j in range(i + 1, len(kernels)):
+            Ki, Kj = kernels[i], kernels[j]
+            if Ki.order == Kj.order and \
+                    all(Kj.contains(g) for g in Ki.generators):
+                distinct = False
+    return kernels, distinct
+
+
+def abelian_crown_bound(n, d, q, h1, normal=False):
+    """Cap on the maximal subgroups attached to one abelian crown class.
+
+    Non-normal case: (n^d - n*h1)/(q - 1); normal case: (n^d - 1)/(n - 1).
+    Always at most n^d - 1.
+    """
+    if q < 2:
+        raise ValueError(
+            "q is the size of an endomorphism field, hence at least 2")
+    if h1 < 1:
+        raise ValueError("h1 is a cohomology group size, hence at least 1")
+    if normal:
+        value = (n ** d - 1) // (n - 1)
+    else:
+        num = n ** d - n * h1
+        value = num // (q - 1)
+    cap = n ** d - 1
+    if value > cap:
+        raise RuntimeError("crown bound exceeded its stated cap")
+    return value

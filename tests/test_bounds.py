@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from maxsub.bounds import (abelian_crown_bound, bound_mn, check_b2,
-                           classify_index, eta_kappa, markdown_bound_table)
+from maxsub.bounds import (bound_mn, check_b2, classify_index, eta_kappa,
+                           markdown_bound_table)
 from maxsub.catalog import alt, builtin, cyc, sym, dih
 from maxsub.invariants import InvariantProfile, profile
 from maxsub.simptable import simple_order_table, is_prime_power
+
+from oracles import abelian_crown_bound
 
 
 def example_S_profile():

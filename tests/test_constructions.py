@@ -3,17 +3,18 @@ from collections import Counter
 import pytest
 
 from maxsub.catalog import builtin, cyc, sym
-from maxsub.constructions import (automorphisms, build_Lk, end_size, f_of_d,
-                                  h1_size, hat, subdirect, tuple_orbits,
-                                  verify_subdirect_projections,
-                                  distinct_projection_kernels)
+from maxsub.constructions import (automorphisms, build_Lk, end_size, hat,
+                                  subdirect, tuple_orbits)
 from maxsub.group import direct_product, group_from_generators
 from maxsub.invariants import min_generators, profile
 from maxsub.lattice import m_n_map
 from maxsub.perms import parse_cycles
 from maxsub.probgen import phi
-from maxsub.bounds import abelian_crown_bound
 from maxsub.structure import chief_series, crowns
+
+from oracles import (abelian_crown_bound, distinct_projection_kernels, f_of_d,
+                     h1_size, tower_quotient_fingerprint,
+                     verify_subdirect_projections)
 
 
 def s4_with_v4():
@@ -110,7 +111,6 @@ def test_m4_of_l2_attains_crown_bound():
 
 
 def test_tower_quotient_fingerprint():
-    from maxsub.constructions import tower_quotient_fingerprint
     L, N = s4_with_v4()
     t3 = build_Lk(L, N, 3)
     assert tower_quotient_fingerprint(t3.tower, L, N, 3)

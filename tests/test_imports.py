@@ -1,15 +1,20 @@
-"""Every top-level import in `src/maxsub` is used by its module.
+"""Every top-level import in `src/maxsub` is used by its module, and every
+top-level function and class is used somewhere.
 
 No linter ships with the project, so this walks the syntax trees: a name
 bound by a module-level `import` must appear as a name somewhere else in
 the same module.  The package `__init__.py` is skipped, since its imports
-are the public re-exports.
+are the public re-exports.  A function or class defined at the top level
+of a module must be referenced (as a name, an attribute or an imported
+name) somewhere in `src/maxsub` or `perfbench/`; its own definition and
+the strings of `maxsub.__all__` do not count.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "maxsub"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "maxsub"
 
 
 def _unused_imports(path):
@@ -35,3 +40,32 @@ def test_no_unused_top_level_imports():
         found += [f"{path.name}:{line}: {name}"
                   for line, name in _unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _dead_definitions(src, others):
+    """(module, line, name) of each top-level function or class of `src`
+    whose name is referenced nowhere in `src` or the `others` trees."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for root in [src, *others] for path in sorted(root.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+    return sorted((path.name, node.lineno, node.name)
+                  for path, tree in trees.items() if path.parent == src
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name not in used)
+
+
+def test_no_unreferenced_top_level_definitions():
+    found = [f"{module}:{line}: {name}"
+             for module, line, name in _dead_definitions(
+                 SRC, [ROOT / "perfbench"])]
+    assert not found, "unreferenced definitions:\n" + "\n".join(found)

@@ -96,7 +96,9 @@ def test_profile_product_a5_a5():
     assert p.rkm == {60: 2}
     assert p.rks == {5: 2, 6: 2, 10: 2}
     assert p.lambda_ == 2
-    assert "m_exact" in p.skipped
+    # the crowns decide every m_n above the lattice limit
+    assert p.m_exact == {5: 10, 6: 12, 10: 20, 60: 120}
+    assert p.skipped == {}
 
 
 def test_profile_product_a5_psl27():

@@ -30,11 +30,11 @@ DIGESTS = {
     ('analyze', 'agl:3,2'): (
         0, "b97b4b3cd272f4f21379885d7881506a5c5b4fa1d626aa6cb600d2dd21149be8"),
     ('analyze', 'hat:agl:1,8;2'): (
-        0, "19af188bf7550cbb11fdd1c87a446ae4454720d9484475d933737d344ae01ce7"),
+        0, "7f91611ebfbbef24daf95f3b0a3c6e335bea55859b1f96b5dd6e62b20030af59"),
     ('analyze', 'lk:sym:4,2'): (
         0, "69aa5391467e55da6d66fed4cf881b7ae23ff459c6af6d016e14aa71897e1ae7"),
     ('analyze', 'dp:sym:3+sym:3+sym:3'): (
-        0, "f53108d23b8688241b1d40111f718fc5857c9b462af9709eaf6e4a279ef07dd8"),
+        0, "6c217ca90f3aa786455f33931ec35ae57b5661f77d0aea1ff07b44d619dcaa28"),
     ('nu', 'sym:4'): (
         0, "620a463a1c72c3a6284a4fb505a5f0b6637fe591641292f01dbf86590dfff039"),
     ('nu', 'sym:5'): (

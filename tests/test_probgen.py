@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from maxsub.catalog import alt, builtin, cyc, sym
+from maxsub.group import direct_product
 from maxsub.probgen import (at_least_one_over_e, gen_prob, gen_prob_mc, nu,
                             phi)
 
@@ -22,6 +24,29 @@ def test_phi_agl18_pairs():
     assert phi(G, 2) == 2688
     # cross-check: 56^2 - number of non-generating pairs = 3136 - 448
     assert 56 ** 2 - 2688 == 448
+
+
+def test_phi_one_by_theorem_above_lattice_limit():
+    # one element generates exactly the cyclic groups, in phi(n) ways
+    for n in (1, 2, 12, 30, 49):
+        totient = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert phi(cyc(n), 1, lattice_limit=1) == totient
+    assert phi(direct_product([cyc(2), cyc(3)])[0], 1, lattice_limit=1) == 2
+    assert phi(direct_product([cyc(2), cyc(2)])[0], 1, lattice_limit=1) == 0
+    assert phi(sym(4), 1, lattice_limit=1) == 0
+
+
+def test_nu_a5_squared_refuses_without_generating_tests(capsys, monkeypatch):
+    # phi(A5 x A5, 1) = 0 by theorem; phi at k = 2 needs the lattice
+    import maxsub.probgen
+    from maxsub.cli import EXIT_REFUSED, main
+    calls = []
+    monkeypatch.setattr(maxsub.probgen, "generates",
+                        lambda G, perms: calls.append(perms))
+    assert main(["nu", "dp:alt:5+alt:5"]) == EXIT_REFUSED
+    assert capsys.readouterr().err == (
+        "refused: phi needs a lattice (order <= 2000) or |G|^d <= 500000\n")
+    assert calls == []
 
 
 def test_phi_matches_brute_force_small():

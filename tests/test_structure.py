@@ -8,12 +8,13 @@ from maxsub.catalog import alt, builtin, cyc, sym
 from maxsub.group import core, direct_product, group_from_generators, is_normal
 from maxsub.lattice import maximal_subgroups, subgroup_classes
 from maxsub.perms import Permutation, parse_cycles
-from maxsub.structure import (_is_maximal_by_cosets,
-                              associated_primitive, chief_series,
+from maxsub.structure import (_is_maximal_by_cosets, chief_series,
                               classify_maximal, complement_solution_count,
                               crowns, describe_factor, ensure_factor_flags,
                               g_connected, g_isomorphic,
                               minimal_normal_subgroups)
+
+from oracles import associated_primitive
 
 
 def factor_orders(G, seed=0):
@@ -247,6 +248,58 @@ def test_associated_primitive_simple():
     assert P.order == 60
 
 
+def _psl34_on_pg24():
+    """PSL(3,4) on the 21 points of PG(2,4): the action of the elementary
+    transvections I + t E_ij of SL(3,4), t in {1, w}, on the lines of
+    GF(4)^3.  GF(4) = {0, 1, w, w + 1} is coded 0..3, with xor as sum."""
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    inv = {1: 1, 2: 3, 3: 2}
+
+    def normal(v):
+        lead = next(x for x in v if x)
+        return tuple(mul[inv[lead]][x] for x in v)
+
+    pts = sorted({normal((a, b, c)) for a in range(4) for b in range(4)
+                  for c in range(4) if (a, b, c) != (0, 0, 0)})
+    index = {v: i for i, v in enumerate(pts)}
+
+    def act(M):
+        images = []
+        for v in pts:
+            w = [0, 0, 0]
+            for i in range(3):
+                for j in range(3):
+                    w[j] ^= mul[v[i]][M[i][j]]
+            images.append(index[normal(w)])
+        return Permutation(np.array(images, dtype=np.int32))
+
+    gens = []
+    for i in range(3):
+        for j in range(3):
+            for t in (1, 2):
+                if i != j:
+                    M = [[int(r == c) for c in range(3)] for r in range(3)]
+                    M[i][j] = t
+                    gens.append(act(M))
+    return group_from_generators(len(pts), gens)
+
+
+@pytest.mark.parametrize("make, name", [(lambda: alt(8), "Alt(8)"),
+                                        (_psl34_on_pg24, "PSL(3,4)")])
+def test_order_20160_decided_by_element_census(make, name):
+    # for a simple G, C_G(G) = 1 and the primitive group of the factor G/1
+    # is G itself; this stand-in spares the conjugation action on 20160
+    # cosets that `describe_factor` would build
+    from types import SimpleNamespace
+    from maxsub.structure import _disambiguate_simple
+    G = make()
+    assert G.order == 20160
+    fa = SimpleNamespace(primitive=G, to_primitive=lambda h: h)
+    got, note = _disambiguate_simple(fa, G)
+    assert got == name
+    assert "census" in note
+
+
 def test_chief_series_agl32():
     G = builtin("agl:3,2")
     facs = chief_series(G)
@@ -308,7 +361,7 @@ def test_complement_budget_checked_before_section_space(monkeypatch):
 @pytest.mark.parametrize("lower, upper, expected", [
     ("1", "A4", 4), ("V4", "A4", 12), ("A4", "S4", 24)])
 def test_materialize_step_s4(lower, upper, expected):
-    from maxsub.group import derived_subgroup
+    from oracles import derived_subgroup
     from maxsub.structure import _materialize_step
     G = sym(4)
     A4 = derived_subgroup(G)
