@@ -508,6 +508,36 @@ def intertwiner_space_dim(mats_a, mats_b, p):
     return da * db - rank
 
 
+def tree_relators(start, step, key, mats, p, nodes):
+    """Walk a Schreier graph breadth-first from `start` (generator s leads
+    from x to step(x, s); nodes are told apart by key(x)) and yield its
+    relators.  A twist u of the generators spreads along the spanning tree
+    by f(x s) = f(x) M_s + u_s, so f(x) = u C_x with C_start = 0 and
+    u E_s = u_s.  Each non-tree edge x -> x s, landing on the node first
+    reached by y, yields (C_x M_s + E_s - C_y, x s, y).  `nodes` is filled
+    with key -> (y, C_y)."""
+    mats = [np.asarray(M, dtype=np.int64) % p for M in mats]
+    dim = mats[0].shape[0]
+    width = len(mats) * dim
+    sel = np.zeros((len(mats), width, dim), dtype=np.int64)
+    for s in range(len(mats)):
+        sel[s, s * dim:(s + 1) * dim] = np.eye(dim, dtype=np.int64)
+    first = (start, np.zeros((width, dim), dtype=np.int64))
+    nodes[key(start)] = first
+    queue = [first]
+    for x, cx in queue:
+        for s, (M, E) in enumerate(zip(mats, sel)):
+            y = step(x, s)
+            cy = (cx @ M + E) % p
+            k = key(y)
+            old = nodes.get(k)
+            if old is None:
+                nodes[k] = (y, cy)
+                queue.append((y, cy))
+            else:
+                yield (cy - old[1]) % p, y, old[0]
+
+
 def cocycle_dim(mats, p, order):
     """Dimension of Z^1(L, A) over GF(p): A = GF(p)^dim with L, the linear
     group of the given order generated by the right-action matrices M_s,
@@ -515,12 +545,12 @@ def cocycle_dim(mats, p, order):
 
     A cocycle (f(xy) = f(x) M_y + f(y)) is fixed by its values u_s on the
     generators, the unknowns.  Along a breadth-first spanning tree of the
-    Cayley graph of L, f(x s) = f(x) M_s + u_s writes f(x) = u C_x for a
-    matrix C_x; each non-tree edge x -> x s gives the equations
-    u (C_x M_s + E_s - C_{xs}) = 0, where u E_s = u_s.  These edges present
-    L, so their solutions are exactly the cocycles.  The coboundaries have
-    dimension dim - dim(A^L), so the equations stop once their rank leaves
-    no room for more.  Refused above the coset limit, before the search."""
+    Cayley graph of L (`tree_relators`), f(x) = u C_x; each non-tree edge
+    x -> x s gives the equations u (C_x M_s + E_s - C_{xs}) = 0.  These
+    edges present L, so their solutions are exactly the cocycles.  The
+    coboundaries have dimension dim - dim(A^L), so the equations stop once
+    their rank leaves no room for more.  Refused above the coset limit,
+    before the search."""
     if order > DEFAULT_COSET_LIMIT:
         raise LimitExceeded(
             f"cocycles need the {order} elements of a linear group, above "
@@ -532,26 +562,15 @@ def cocycle_dim(mats, p, order):
     fixed = len(_nullspace(np.concatenate([M - eye for M in mats], axis=1)
                            % p, p))
     most = width - dim + fixed        # the rank when Z^1 is B^1
-    sel = np.zeros((len(mats), width, dim), dtype=np.int64)
-    for s in range(len(mats)):
-        sel[s, s * dim:(s + 1) * dim] = eye
-    coeff = {eye.tobytes(): np.zeros((width, dim), dtype=np.int64)}
-    queue = [eye]
+    nodes = {}
     eqs = Subspace(p, width)
-    for x in queue:
-        cx = coeff[x.tobytes()]
-        for M, E in zip(mats, sel):
-            y = x @ M % p
-            cy = (cx @ M + E) % p
-            old = coeff.setdefault(y.tobytes(), cy)
-            if old is cy:
-                queue.append(y)
-                continue
-            for col in ((cy - old) % p).T:
-                eqs.add(col)
-            if eqs.dim == most:
-                return width - most
-    if len(coeff) != order:
+    for rel, _, _ in tree_relators(eye, lambda x, s: x @ mats[s] % p,
+                                   np.ndarray.tobytes, mats, p, nodes):
+        for col in rel.T:
+            eqs.add(col)
+        if eqs.dim == most:
+            return width - most
+    if len(nodes) != order:
         raise RuntimeError(
-            f"linear group has {len(coeff)} elements, expected {order}")
+            f"linear group has {len(nodes)} elements, expected {order}")
     return width - eqs.dim

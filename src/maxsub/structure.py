@@ -25,15 +25,15 @@ from math import lcm
 
 import numpy as np
 
-from .bsgs import LimitExceeded, StabilizerChain, _compose
+from .bsgs import LimitExceeded, _compose, _invert
 from .group import (DEFAULT_COSET_LIMIT, GroupHandle, commutators,
-                    coset_action, coset_position, coset_table,
+                    coset_action, coset_canonical, coset_position, coset_table,
                     group_from_generators, is_abelian, is_normal,
                     kernel_of_action_schreier, normal_closure,
                     small_generating_set, stabilizer_of_action_point)
 from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
-from .modules import (_VEC_DTYPE, ElementaryLayer, SectionSpace,
-                      intertwiner_space_dim, minimal_submodule)
+from .modules import (ElementaryLayer, SectionSpace, Subspace,
+                      intertwiner_space_dim, minimal_submodule, tree_relators)
 from .perms import Permutation
 from .simptable import prime_factors, prime_power_split, split_simple_power
 
@@ -92,8 +92,12 @@ class FactorAction:
 
     def __init__(self, G, H, K):
         self.parent = G
-        Kchain = K.chain
         n = H.order // K.order
+        if n > DEFAULT_COSET_LIMIT:
+            raise LimitExceeded(
+                f"the chief factor's {n} cosets exceed the coset limit "
+                f"{DEFAULT_COSET_LIMIT}")
+        Kchain = K.chain
         reps, index_of, _ = coset_table(
             [h.images for h in H.generators if not h.is_identity()], Kchain, n)
         self.n = n
@@ -322,7 +326,7 @@ def _abelian_chief_above(G, N, W, rng):
     basis = minimal_submodule(sec.gen_matrices, p, sec.dim,
                               seed=rng.randrange(1 << 30))
     lifts = [sec.lift(row) for row in basis]
-    X = G.subgroup(list(N.generators) + lifts,
+    X = G.subgroup(list(N.chain.strong_generators()) + lifts,
                    known_order=N.order * p ** basis.shape[0])
     X.chain
     return X
@@ -531,49 +535,56 @@ def _disambiguate_simple(fa, H):
 # -- complements and Frattini flags --------------------------------------------
 
 DIRECT_COMPLEMENT_ORDER_CAP = 10 ** 7
-COMPLEMENT_TUPLE_BUDGET = 1 << 16
 
 
-def _abelian_coset_lifts(d):
-    """Lift of every element of the factor (one per coset), via the section
-    space; index 0 is the identity coset."""
-    return [d.space.lift(v.astype(_VEC_DTYPE))
-            for v in _vectors(d.prime, d.dim)]
+def complement_solution_count(G, H, K, space=None):
+    """Number of complements of the elementary abelian section A = H/K in
+    G/K, as one GF(p) linear system (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory (2005), section 7.6).
 
-
-def complement_solution_count(G, H, K, budget=COMPLEMENT_TUPLE_BUDGET,
-                              early_exit=False):
-    """Number of tuples (a_1..a_d) in A^d with Y = <K, g_1 a_1, ..., g_d a_d>
-    a complement of A = H/K in G/K; this equals the number of complements.
-
-    The test is purely an order test: Y >= K and Y H = G always hold (H is
-    normal and the twisted generators cover G mod H), so Y is a complement
-    exactly when |Y| = |G| / |A|.
-    """
-    sec_d = ChiefFactorDescriptor(NormalSection(G, H, K))
-    sec_d.abelian = _section_is_abelian(H, K)
-    if not sec_d.abelian:
-        raise ValueError("complement counting is for abelian factors")
-    n = sec_d.order
-    dgen = len(G.generators)
-    if n ** dgen > budget:
+    A complement is <K, g_1 a_1, ..., g_d a_d> for exactly one twist
+    (a_1, ..., a_d) in A^d of G's generators, so the count is the number
+    of twists x for which every word w with w(g) in H has w(g a) in K.
+    Those words are generated by the Reidemeister-Schreier relators of H
+    in G: the non-tree edges c -> c g_i of a breadth-first spanning tree
+    (`modules.tree_relators`) of the right cosets c of H, keyed by their
+    canonical representatives.  With t_c the product walked to c and the
+    twist of t_c equal to x C_c, the edge landing on c' gives
+    x (C_c M_i + E_i - C_c') = -v(t_c'^-1 t_c g_i), where M_i is g_i's
+    action matrix and v reads an element of H as its vector mod K.  The
+    answer is 0 when the system is inconsistent and p^(width - rank)
+    otherwise.  Refused above the coset limit, before any section space is
+    built or any coset walked; `space` is H/K's SectionSpace when the
+    caller has one."""
+    index = G.order // H.order
+    if index > DEFAULT_COSET_LIMIT:
         raise LimitExceeded(
-            f"complement search space {n}**{dgen} exceeds budget {budget}")
-    sec_d.prime, sec_d.dim = prime_power_split(n)
-    sec_d.space = SectionSpace(G, H, K, sec_d.prime)
-    lifts = _abelian_coset_lifts(sec_d)
-    target = G.order // n
-    base_gens = list(K.chain.strong_generators())
-    count = 0
-    from itertools import product
-    for tup in product(range(n), repeat=dgen):
-        gens = base_gens + [g * lifts[t] for g, t in zip(G.generators, tup)]
-        chain = StabilizerChain(G.degree, gens)
-        if chain.order == target:
-            count += 1
-            if early_exit:
-                return count
-    return count
+            f"complements need the {index} cosets of H in G, above the "
+            f"coset limit {DEFAULT_COSET_LIMIT}")
+    if space is None:
+        split = prime_power_split(H.order // K.order)
+        if split is None or not _section_is_abelian(H, K):
+            raise ValueError("complement counting is for abelian factors")
+        space = SectionSpace(G, H, K, split[0])
+    p, Hchain = space.p, H.chain
+    gens = [g.images for g in G.generators]
+    width = len(gens) * space.dim
+    eqs = Subspace(p, width + 1)
+    nodes = {}
+    for rel, y, t in tree_relators(
+            np.arange(G.degree, dtype=np.int32),
+            lambda x, s: _compose(x, gens[s]),
+            lambda x: coset_canonical(Hchain, x).tobytes(),
+            space.gen_matrices, p, nodes):
+        rhs = -space.to_vec(Permutation(_compose(_invert(t), y)))
+        for col in np.vstack([rel, rhs]).T:
+            eqs.add(col)
+        if eqs.pivots and eqs.pivots[-1] == width:
+            return 0
+    if len(nodes) != index:
+        raise RuntimeError(
+            f"coset walk found {len(nodes)} cosets, expected {index}")
+    return p ** (width - eqs.dim)
 
 
 def _orbit_image_groups(pts, pos, *subgroups):
@@ -637,17 +648,21 @@ def ensure_factor_flags(G, d, lattice_cap=DEFAULT_ORDER_LIMIT):
 
     A non-abelian chief factor H/K is never Frattini, because Phi(G/K) is
     nilpotent (Doerk-Hawkes, Finite Soluble Groups, III.3).  An abelian one
-    is Frattini exactly when it has no complement; both abelian flags stay
-    None when budgets preclude a certificate."""
+    is Frattini exactly when it has no complement.  Up to order
+    DIRECT_COMPLEMENT_ORDER_CAP, and with at most the coset limit of cosets
+    of H, the complements are counted by `complement_solution_count`'s
+    linear system.  Otherwise the orbit images are searched for a maximal
+    subgroup supplementing H/K; when none is found, both abelian flags
+    stay None."""
     if d.frattini is not None:
         return d
     if not d.abelian:
         d.frattini = False
         return d
     H, K = d.section.upper, d.section.lower
-    if G.order <= DIRECT_COMPLEMENT_ORDER_CAP:
-        cnt = complement_solution_count(G, H, K, early_exit=True)
-        d.complemented = cnt > 0
+    if (G.order <= DIRECT_COMPLEMENT_ORDER_CAP
+            and G.order // H.order <= DEFAULT_COSET_LIMIT):
+        d.complemented = complement_solution_count(G, H, K, d.space) > 0
     else:
         found = _orbit_supplement_search(G, H, K, lattice_cap)
         d.complemented = True if found else None

@@ -8,19 +8,22 @@ The last section holds checks that only the tests use: each is built from
 `maxsub` primitives other than the one it checks.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from maxsub.bsgs import LimitExceeded
+from maxsub.bsgs import LimitExceeded, StabilizerChain
 from maxsub.constructions import end_size
 from maxsub.group import (DEFAULT_COSET_LIMIT, commutators, coset_action,
                           generates, group_from_generators, kernel_of_action,
                           normal_closure, small_generating_set)
 from maxsub.invariants import min_generators
+from maxsub.modules import SectionSpace
 from maxsub.perms import Permutation
-from maxsub.structure import (_matrix_actions, _vector_codes, _vectors,
-                              complement_solution_count)
+from maxsub.simptable import prime_power_split
+from maxsub.structure import _matrix_actions, _vector_codes, _vectors
+
+NAIVE_COMPLEMENT_BUDGET = 1 << 16
 
 
 def naive_closure(degree, gens, limit=200000):
@@ -84,7 +87,6 @@ def naive_generating_tuples(degree, elements, whole_order, k):
     """Count ordered k-tuples generating the whole group (brute force)."""
     els = list(elements)
     count = 0
-    from itertools import product
     for tup in product(els, repeat=k):
         if len(naive_closure(degree, list(tup))) == whole_order:
             count += 1
@@ -138,9 +140,46 @@ def derived_subgroup(G):
     return normal_closure(G, commutators(G.generators))
 
 
+def coset_lifts(space, p, dim):
+    """A lift in H of every element of the section H/K (one per coset of
+    K), through its section space; index 0 is the identity coset."""
+    return [space.lift(v) for v in _vectors(p, dim)]
+
+
+def naive_complement_solution_count(G, H, K, budget=NAIVE_COMPLEMENT_BUDGET):
+    """Number of tuples (a_1..a_d) in A^d with Y = <K, g_1 a_1, ..., g_d a_d>
+    a complement of the elementary abelian section A = H/K in G/K, which is
+    the number of complements: one stabilizer chain per tuple.
+
+    Any generating set g_1..g_d of G gives the same count, so the greedy
+    subset of G's generators keeps n^d small.  Y >= K and Y H = G always
+    hold (H is normal and the twisted generators cover G mod H), so Y is a
+    complement exactly when |Y| = |G| / |A|.  The n^d tuples are refused
+    above the budget before any section space is built."""
+    if not all(K.contains(c) for c in commutators(H.generators)):
+        raise ValueError("complement counting is for abelian factors")
+    n = H.order // K.order
+    gens = small_generating_set(G.degree, G.generators, G.order)
+    if n ** len(gens) > budget:
+        raise LimitExceeded(
+            f"complement search space {n}**{len(gens)} exceeds budget "
+            f"{budget}")
+    p, dim = prime_power_split(n)
+    lifts = coset_lifts(SectionSpace(G, H, K, p), p, dim)
+    target = G.order // n
+    base_gens = list(K.chain.strong_generators())
+    count = 0
+    for tup in product(range(n), repeat=len(gens)):
+        twisted = base_gens + [g * lifts[t] for g, t in zip(gens, tup)]
+        if StabilizerChain(G.degree, twisted).order == target:
+            count += 1
+    return count
+
+
 def h1_size(L, N):
     """|H^1(L/N, N)| = (number of complements of N in L) / |N|."""
-    cnt = complement_solution_count(L, N, L.subgroup([], known_order=1))
+    cnt = naive_complement_solution_count(
+        L, N, L.subgroup([], known_order=1))
     if cnt % N.order:
         raise RuntimeError("complement count is not divisible by |N|")
     return cnt // N.order

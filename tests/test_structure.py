@@ -350,12 +350,29 @@ def test_complement_budget_checked_before_section_space(monkeypatch):
     H = group_from_generators(4, [parse_cycles("(1,2)(3,4)", degree=4),
                                   parse_cycles("(1,3)(2,4)", degree=4)])
 
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the coset-limit check")
+
+    monkeypatch.setattr(maxsub.structure, "SectionSpace", no_work)
+    monkeypatch.setattr(maxsub.structure, "coset_canonical", no_work)
+    monkeypatch.setattr(maxsub.structure, "DEFAULT_COSET_LIMIT", 1)
+    with pytest.raises(LimitExceeded, match="coset limit"):
+        complement_solution_count(G, H, K)
+
+
+def test_naive_complement_budget_checked_before_section_space(monkeypatch):
+    import oracles
+    G = sym(4)
+    K = G.subgroup([], known_order=1)
+    H = group_from_generators(4, [parse_cycles("(1,2)(3,4)", degree=4),
+                                  parse_cycles("(1,3)(2,4)", degree=4)])
+
     def no_space(*args, **kwargs):
         raise AssertionError("SectionSpace built before the budget check")
 
-    monkeypatch.setattr(maxsub.structure, "SectionSpace", no_space)
+    monkeypatch.setattr(oracles, "SectionSpace", no_space)
     with pytest.raises(LimitExceeded):
-        complement_solution_count(G, H, K, budget=1)
+        oracles.naive_complement_solution_count(G, H, K, budget=1)
 
 
 @pytest.mark.parametrize("lower, upper, expected", [
@@ -406,12 +423,13 @@ def test_vector_tables_match_loop_reference():
 
 def test_vectors_refused_above_coset_limit():
     from maxsub.structure import (ChiefFactorDescriptor, NormalSection,
-                                  _abelian_centralizer, _abelian_coset_lifts)
+                                  _abelian_centralizer)
+    from oracles import coset_lifts
     G = sym(4)
     d = ChiefFactorDescriptor(NormalSection(G, G, G.subgroup([], known_order=1)))
     d.abelian, d.prime, d.dim = True, 2, 15
     for build in (lambda: _abelian_centralizer(G, d),
-                  lambda: _abelian_coset_lifts(d),
+                  lambda: coset_lifts(d.space, d.prime, d.dim),
                   lambda: associated_primitive(G, d)):
         with pytest.raises(LimitExceeded, match="32768 vectors"):
             build()
