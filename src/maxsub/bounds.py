@@ -67,14 +67,11 @@ class BoundReport:
 
 def bound_mn(prof, n):
     """Case-selected bound on the number of index-n maximal subgroups,
-    plus the two comparison bounds (left null when the profile has no d,
-    as `eta_kappa` leaves eta)."""
+    plus the two comparison bounds."""
     rep = BoundReport(n)
     if prof.m_exact is not None:
         rep.m_exact = prof.m_exact.get(n, 0)
     d = prof.d
-    if d is None:
-        return rep
     cls = classify_index(n)
     cr = prof.cr_ab.get(n, 0)
     rks = prof.rks.get(n, 0)
@@ -176,9 +173,6 @@ def eta_kappa(prof, mroute_indices=None):
     """
     rep = NuReport()
     d = prof.d
-    if d is None:
-        rep.notes["eta"] = "skipped: no certified d"
-        return rep
     if d < 2:
         rep.notes["eta"] = "skipped: d = 1 (bounds assume a non-cyclic group)"
         _fill_comparison_routes(rep, prof, mroute_indices)
@@ -241,17 +235,16 @@ def _fill_comparison_routes(rep, prof, mroute_indices):
             rep.script_M_plus = best + 2.02
             rep.notes["script_M_plus"] = \
                 "upper route via per-index bounds (exact m_n unavailable)"
-    if prof.min_index and prof.order and prof.d is not None:
+    if prof.min_index and prof.order:
         loglog = _log2(_log2(prof.order)) if prof.order > 2 else 0.0
         logp = _log2(prof.min_index)
         rep.lubotzky_nu = ((1 + loglog) / logp
                            + max(prof.d, loglog / logp) + 2.02)
-    if prof.lambda_ is not None and prof.d is not None:
-        if prof.lambda_ > 1:
-            rep.dl_bound = math.floor(prof.d + 5.02 * _log2(prof.lambda_)
-                                      + SLACK)
-        else:
-            rep.dl_bound = math.floor(prof.d + 5.02 + SLACK)
+    if prof.lambda_ > 1:
+        rep.dl_bound = math.floor(prof.d + 5.02 * _log2(prof.lambda_)
+                                  + SLACK)
+    else:
+        rep.dl_bound = math.floor(prof.d + 5.02 + SLACK)
 
 
 def check_b2(G):

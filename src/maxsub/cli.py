@@ -98,8 +98,8 @@ def parse_spec(text, limits=None):
         if "," not in payload:
             raise SpecError("lk: needs a tower height after a comma")
         body, _, ktxt = payload.rpartition(",")
-        if not ktxt.isdigit():
-            raise SpecError(f"bad tower height {ktxt!r}")
+        if not ktxt.isdigit() or int(ktxt) < 1:
+            raise SpecError(f"bad tower height {ktxt!r} (need k >= 1)")
         L = parse_spec(body, limits).resolved
         N = _tower_socle(L)
         tower = build_Lk(L, N, int(ktxt))
@@ -110,8 +110,8 @@ def parse_spec(text, limits=None):
         if ";" not in payload:
             raise SpecError("hat: needs a tuple arity after a semicolon")
         body, _, dtxt = payload.rpartition(";")
-        if not dtxt.isdigit():
-            raise SpecError(f"bad tuple arity {dtxt!r}")
+        if not dtxt.isdigit() or int(dtxt) < 1:
+            raise SpecError(f"bad tuple arity {dtxt!r} (need d >= 1)")
         G = parse_spec(body, limits).resolved
         limit = limits["materialize_degree"]
         H, census = hat(G, int(dtxt), materialize_degree_limit=limit,
@@ -186,10 +186,14 @@ def cmd_analyze(args):
 
 
 def cmd_bounds(args):
+    tokens = args.indices.split(",")
+    if not all(t.isdigit() and int(t) >= 2 for t in tokens):
+        raise SpecError(f"bad --indices {args.indices!r} (need integers "
+                        "n >= 2, comma separated)")
+    indices = [int(t) for t in tokens]
     gs = parse_spec(args.spec, _limits_of(args))
     prof = profile(gs.resolved, seed=args.seed,
                    lattice_limit=args.lattice_limit)
-    indices = [int(t) for t in args.indices.split(",")]
     reports = [bound_mn(prof, n) for n in indices]
     if args.markdown:
         print(markdown_bound_table(reports))
@@ -204,6 +208,8 @@ def cmd_bounds(args):
 
 
 def cmd_nu(args):
+    if args.trials < 1:
+        raise SpecError(f"bad --trials {args.trials} (need at least 1)")
     gs = parse_spec(args.spec, _limits_of(args))
     if args.mode == "exact":
         value = nu(gs.resolved, mode="exact",

@@ -215,7 +215,7 @@ def check_nu_sandwich(G):
         if not (M - 3.5 <= k + 1e-9 and k <= M + 2.02 + 1e-9):
             return (f"nu-sandwich[{G.name}]", False,
                     f"nu {k} vs script-M {M:.4f}")
-    if prof.d is not None and prof.d >= 2 and rep.eta is not None:
+    if prof.d >= 2:
         if k > rep.eta + 1e-9:
             return (f"nu-sandwich[{G.name}]", False,
                     f"nu {k} > eta {rep.eta:.4f}")

@@ -118,9 +118,6 @@ class Epimorphism:
     def apply(self, p):
         return self._apply_fn(p)
 
-    def check_orders(self):
-        return self.kernel.order * self.target.order == self.source.order
-
 
 # -- actions and kernels ----------------------------------------------------
 

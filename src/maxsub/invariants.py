@@ -1,12 +1,12 @@
 """Invariant profiles: every quantity the bound machinery consumes.
 
 A profile is exact integer data throughout; logarithms only appear in the
-bounds module.  The m_n map, and with it min_index and script_M, is read
-off the crowns at every order (`crown_m_map`), so no subgroup lattice of G
-itself is needed.  A field that a budget kept from being certified carries
-an entry in `skipped` instead of a guessed value; only `lambda` (a
-Frattini flag left undecided) and `d` (a generator count left uncertified)
-ever do.
+bounds module.  Everything that depends on maximal subgroups is read off
+the crowns at every order, so no subgroup lattice of G itself is needed:
+the m_n map with min_index and script_M (`crown_m_map`), and d, the least
+k with P_G(k) > 0 (`min_generators`), where P_G(k) is the crown
+factorization (`crown_gen_prob`).  A field that cannot be computed exactly
+makes `profile` refuse; none is ever guessed.
 
 Direct products assemble their profiles from the factor profiles.  Their
 crowns are merged from the factors' crowns: central crowns of one order
@@ -18,20 +18,16 @@ enumerating their subgroups.
 from __future__ import annotations
 
 import math
-import random
+from fractions import Fraction
 
 from .bsgs import LimitExceeded
 from .constructions import automorphisms
-from .group import direct_product, generates, is_abelian, small_generating_set
+from .group import direct_product
 from .lattice import DEFAULT_ORDER_LIMIT, maximal_subgroups, subgroup_classes
 from .modules import cocycle_dim, intertwiner_space_dim
-from .structure import (CrownRecord, _conjugacy_class_reps,
-                        _conjugation_orbit_reps,
-                        _has_diagonal_corefree_maximal, chief_series, crowns,
-                        ensure_factor_flags)
-
-MIN_GEN_ELEMENT_BUDGET = 8192
-RANDOM_ACCEPT_TRIALS = 40
+from .structure import (CrownRecord, _has_diagonal_corefree_maximal,
+                        chief_series, crowns)
+from .tables import mask_of
 
 
 class InvariantProfile:
@@ -54,13 +50,12 @@ class InvariantProfile:
         self.r_a = None
         self.r_b = None
         self.rks_rko_overlap = {}    # n -> factors of order n also counted in rks_n
-        self.skipped = {}
 
     def to_json(self):
         def clean_map(m):
             return {str(k): v for k, v in sorted(m.items())}
 
-        out = {
+        return {
             "order": str(self.order),
             "d": self.d,
             "min_index": self.min_index,
@@ -81,98 +76,97 @@ class InvariantProfile:
             "r_a": self.r_a,
             "r_b": self.r_b,
         }
-        if self.skipped:
-            out["skipped"] = dict(sorted(self.skipped.items()))
-        return out
 
 
-class MinGenResult:
-    __slots__ = ("value", "lower", "upper", "certified")
+# -- crowns -------------------------------------------------------------------
 
-    def __init__(self, value, lower, upper, certified):
-        self.value = value
-        self.lower = lower
-        self.upper = upper
-        self.certified = certified
+class CrownData:
+    """What one crown of length delta, of chief factors of order n, adds to
+    the m_n map and to P_G(k).
 
-    def __repr__(self):
-        if self.certified:
-            return f"<d = {self.value}>"
-        return f"<d in [{self.lower}, {self.upper}] (uncertified)>"
+    An abelian crown holds q = |End_G(A)| and z = |Z^1(L, A)| for the
+    linear group L = G/C_G(A).  A non-abelian one, with primitive group P
+    and socle N, holds c_n(P), a(P) when delta >= 2, and the lattice of P
+    with the mask of N, from which P_{P,N}(k) is read."""
+
+    __slots__ = ("abelian", "order", "length", "z", "q", "corefree", "aut",
+                 "_lattice", "_socle_mask")
+
+    def __init__(self, crown, lattice_limit):
+        d = crown.factor_class
+        self.abelian = crown.abelian
+        self.order = crown.order
+        self.length = crown.length
+        if self.abelian:
+            p, mats = d.prime, d.space.gen_matrices
+            self.q = p ** intertwiner_space_dim(mats, mats, p)
+            self.z = p ** cocycle_dim(
+                mats, p, d.section.parent.order // d.centralizer.order)
+            return
+        self.corefree = _corefree_maximal_counts(d, lattice_limit)
+        fa = d.factor_action
+        P = fa.primitive
+        socle = [fa.to_primitive(h) for h in d.section.upper.generators]
+        self.aut = (_automorphisms_trivial_on_top(P, socle)
+                    if self.length >= 2 else 0)
+        self._lattice = subgroup_classes(P, lattice_limit)
+        t = self._lattice.table
+        self._socle_mask = mask_of(
+            t.closure([t.element_index(x) for x in socle]), t.n)
+
+    def probability(self, k):
+        """The product of f_i(k) over i < delta: f_i = 1 - z q^i / n^k for
+        an abelian crown, f_i = P_{P,N}(k) - i a(P) / n^k for a non-abelian
+        one."""
+        nk = self.order ** k
+        if self.abelian:
+            fs = [1 - Fraction(self.z * self.q ** i, nk)
+                  for i in range(self.length)]
+        else:
+            lat = self._lattice
+            supplements = Fraction(lat.eulerian(k, self._socle_mask),
+                                   lat.table.n ** k)
+            fs = [supplements - Fraction(i * self.aut, nk)
+                  for i in range(self.length)]
+        return math.prod(fs, start=Fraction(1))
+
+
+def crown_data(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
+    """One CrownData per crown of G, cached on the handle; a direct
+    product's crowns are merged from its factors' crowns."""
+    key = ("crown_data", seed, lattice_limit)
+    got = G._cache.get(key)
+    if got is None:
+        cs = (_product_crowns([F for F, _ in G.product_factors], seed)
+              if G.product_factors else crowns(G, seed=seed))
+        got = G._cache[key] = [CrownData(c, lattice_limit) for c in cs]
+    return got
+
+
+def crown_gen_prob(G, k, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
+    """Exact P_G(k), the probability that k uniform random elements
+    generate G, as the product over the crowns of G of
+    `CrownData.probability` (Dalla Volta and Lucchini, J. Austral. Math.
+    Soc. 64 (1998); Detomi and Lucchini, "Crowns and factorization of the
+    probabilistic zeta function of a finite group", J. Algebra 265
+    (2003)).  Frattini chief factors are in no crown and add nothing."""
+    return math.prod((c.probability(k)
+                      for c in crown_data(G, seed, lattice_limit)),
+                     start=Fraction(1))
 
 
 def min_generators(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
-    """Exact minimal number of generators where certifiable.
-
-    Random fast-accept for the upper bound, then certification: cyclicity
-    by element orders, non-2-generation by an exhaustive scan over
-    (class representative, centralizer-orbit) pairs.  A cached subgroup
-    lattice answers by Moebius positivity directly; it is built on demand
-    only for small orders, since 2-group-heavy lattices are far more
-    expensive than the scan routes."""
+    """d(G): 0 for the trivial group, otherwise the least k >= 1 with
+    P_G(k) > 0 in the crown factorization (`crown_gen_prob`).  No minimal
+    generating set is longer than log_2 |G|, which bounds the search."""
     if G.order == 1:
-        return MinGenResult(0, 0, 0, True)
-    if len(G.generators) == 2 and not is_abelian(G):
-        # two generators bound d from above, non-cyclic bounds it from below
-        return MinGenResult(2, 2, 2, True)
-    if "lattice" in G._cache or G.order <= 600:
-        if G.order <= lattice_limit:
-            lat = subgroup_classes(G, lattice_limit)
-            k = 1
-            while lat.eulerian(k) <= 0:
-                k += 1
-            return MinGenResult(k, k, k, True)
-    rng = random.Random(seed * 7919 + 11)
-    if _cyclic_within_budget(G):
-        return MinGenResult(1, 1, 1, True)
-    certified_lower = 2
-    upper = None
-    k = 2
-    while upper is None:
-        for _ in range(RANDOM_ACCEPT_TRIALS):
-            tup = [G.uniform_random(rng) for _ in range(k)]
-            if generates(G, tup):
-                upper = k
-                break
-        if upper is None:
-            k += 1
-            if k > 12:
-                return MinGenResult(None, certified_lower, None, False)
-    if upper == certified_lower:
-        return MinGenResult(upper, upper, upper, True)
-    if upper - 1 == 2 and G.order <= MIN_GEN_ELEMENT_BUDGET:
-        if not _any_pair_generates(G):
-            return MinGenResult(upper, upper, upper, True)
-        raise RuntimeError("pair scan contradicts random search")
-    return MinGenResult(upper, certified_lower, upper, False)
-
-
-def _cyclic_within_budget(G):
-    if G.order > MIN_GEN_ELEMENT_BUDGET:
-        # a huge group is cyclic only if abelian, and an abelian group is
-        # cyclic exactly when its exponent equals its order
-        if not is_abelian(G):
-            return False
-        exponent = math.lcm(*[g.order() for g in G.generators]) \
-            if G.generators else 1
-        return exponent == G.order
-    return any(rep.order() == G.order
-               for rep in _conjugacy_class_reps(G, MIN_GEN_ELEMENT_BUDGET))
-
-
-def _any_pair_generates(G):
-    """Exhaustive 2-generation test over (class representative, element up
-    to centralizer conjugacy) pairs."""
-    els = G.elements(limit=MIN_GEN_ELEMENT_BUDGET)
-    for a in _conjugacy_class_reps(G, MIN_GEN_ELEMENT_BUDGET):
-        # orbits of the centralizer of a by conjugation cover the pairs (a, b)
-        cz = [x for x in els if (x * a) == (a * x)]
-        cz_small = small_generating_set(
-            G.degree, sorted(cz, key=lambda q: -q.order()), len(cz))
-        if any(generates(G, [a, b])
-               for b in _conjugation_orbit_reps(els, cz_small)):
-            return True
-    return False
+        return 0
+    k = 1
+    while crown_gen_prob(G, k, seed, lattice_limit) <= 0:
+        k += 1
+        if k > G.order.bit_length():
+            raise RuntimeError("crown factorization found no generating tuple")
+    return k
 
 
 # -- profile ------------------------------------------------------------------
@@ -190,16 +184,12 @@ def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
     prof = InvariantProfile()
     prof.order = G.order
     facs = chief_series(G, seed=seed)
-    for d in facs:
-        ensure_factor_flags(G, d)
-    cs = crowns(G, seed=seed)
+    # crowns refuses unless every Frattini flag is decided
+    crowns(G, seed=seed)
     prof.r = len(facs)
     prof.r_a = sum(1 for d in facs if d.abelian)
     prof.r_b = prof.r - prof.r_a
-    prof.lambda_ = sum(1 for d in facs if d.frattini is False)
-    if any(d.frattini is None for d in facs):
-        prof.skipped["lambda"] = "some Frattini flags undecided"
-        prof.lambda_ = None
+    prof.lambda_ = sum(1 for d in facs if not d.frattini)
     for d in facs:
         if d.abelian:
             prof.ab[d.order] = prof.ab.get(d.order, 0) + 1
@@ -217,13 +207,8 @@ def profile(G, seed=0, lattice_limit=DEFAULT_ORDER_LIMIT):
         if d.order in counts:
             prof.rks_rko_overlap[d.order] = \
                 prof.rks_rko_overlap.get(d.order, 0) + 1
-    mg = min_generators(G, seed=seed, lattice_limit=lattice_limit)
-    if mg.certified:
-        prof.d = mg.value
-    else:
-        prof.skipped["d"] = f"bracket [{mg.lower}, {mg.upper}]"
-        prof.d = mg.upper
-    _fill_crown_fields(prof, cs, lattice_limit)
+    prof.d = min_generators(G, seed=seed, lattice_limit=lattice_limit)
+    _fill_crown_fields(prof, crown_data(G, seed, lattice_limit))
     G._cache[key] = prof
     return prof
 
@@ -244,13 +229,11 @@ def _corefree_maximal_counts(d, lattice_limit):
     return out
 
 
-def _automorphisms_trivial_on_top(d):
+def _automorphisms_trivial_on_top(P, socle):
     """a(P): the automorphisms of the primitive group P of a non-abelian
     chief factor H/K that act trivially on P/N, where N = soc(P) is the
-    image of H."""
-    fa = d.factor_action
-    P = fa.primitive
-    N = P.subgroup([fa.to_primitive(h) for h in d.section.upper.generators])
+    image of H, generated by `socle`."""
+    N = P.subgroup(socle)
     aut = automorphisms(P)
     gens = [aut.table.perm_of(a).inv() for a in aut.gen_tuple]
     return sum(all(N.contains(g * aut.table.perm_of(b))
@@ -258,9 +241,9 @@ def _automorphisms_trivial_on_top(d):
                for images in aut.gen_images)
 
 
-def crown_m_map(crown_list, lattice_limit):
+def crown_m_map(records):
     """Exact m_n, the number of maximal subgroups of index n, from the
-    crowns of G (Gaschuetz, "Praefrattinigruppen", Arch. Math. 13 (1962);
+    CrownData records of G (Gaschuetz, "Praefrattinigruppen", Arch. Math. 13 (1962);
     Dalla Volta and Lucchini, J. Austral. Math. Soc. 64 (1998)).
 
     Each crown, of length delta, adds to one or more indices:
@@ -282,33 +265,27 @@ def crown_m_map(crown_list, lattice_limit):
     def add(n, count):
         out[n] = out.get(n, 0) + count
 
-    for c in crown_list:
-        d = c.factor_class
+    for c in records:
         if c.abelian:
-            p, mats = d.prime, d.space.gen_matrices
-            q = p ** intertwiner_space_dim(mats, mats, p)
-            z = p ** cocycle_dim(
-                mats, p, d.section.parent.order // d.centralizer.order)
-            add(c.order, z * (q ** c.length - 1) // (q - 1))
+            add(c.order, c.z * (c.q ** c.length - 1) // (c.q - 1))
             continue
-        for n, count in _corefree_maximal_counts(d, lattice_limit).items():
+        for n, count in c.corefree.items():
             add(n, c.length * count)
         if c.length >= 2:
-            add(c.order, math.comb(c.length, 2)
-                * _automorphisms_trivial_on_top(d))
+            add(c.order, math.comb(c.length, 2) * c.aut)
     return dict(sorted(out.items()))
 
 
-def _fill_crown_fields(prof, crown_list, lattice_limit):
+def _fill_crown_fields(prof, records):
     """cr_ab, s, rkm and the m_n map with what it decides: min_index (its
     least key) and script_M."""
-    for c in crown_list:
+    for c in records:
         if c.abelian:
             prof.cr_ab[c.order] = prof.cr_ab.get(c.order, 0) + 1
         else:
             prof.s[c.order] = prof.s.get(c.order, 0) + 1
             prof.rkm[c.order] = max(prof.rkm.get(c.order, 0), c.length)
-    prof.m_exact = crown_m_map(crown_list, lattice_limit)
+    prof.m_exact = crown_m_map(records)
     prof.min_index = min(prof.m_exact) if prof.m_exact else None
     prof.script_M = _script_m_from_map(prof.m_exact)
 
@@ -337,8 +314,7 @@ def _assemble_product_profile(G, seed, lattice_limit):
     out.r = sum(p.r for p in profs)
     out.r_a = sum(p.r_a for p in profs)
     out.r_b = sum(p.r_b for p in profs)
-    out.lambda_ = (sum(p.lambda_ for p in profs)
-                   if all(p.lambda_ is not None for p in profs) else None)
+    out.lambda_ = sum(p.lambda_ for p in profs)
     for p in profs:
         for n, c in p.ab.items():
             out.ab[n] = out.ab.get(n, 0) + c
@@ -350,23 +326,8 @@ def _assemble_product_profile(G, seed, lattice_limit):
             out.rk_iso[lbl] = out.rk_iso.get(lbl, 0) + c
         for n, c in p.rks_rko_overlap.items():
             out.rks_rko_overlap[n] = out.rks_rko_overlap.get(n, 0) + c
-    # d: the handle's own generators bound d from above
-    dgen = len(G.generators)
-    mg_vals = [p.d for p in profs if p.d is not None]
-    lower = max(mg_vals) if mg_vals else 1
-    if dgen <= lower:
-        out.d = lower
-    else:
-        mg = min_generators(G, seed=seed, lattice_limit=lattice_limit)
-        if mg.certified:
-            out.d = mg.value
-        else:
-            # as in `profile`: d is the upper end of the bracket
-            upper = dgen if mg.upper is None else min(dgen, mg.upper)
-            out.d = upper
-            out.skipped["d"] = (f"bracket [{max(lower, mg.lower)}, {upper}] "
-                                "(product d not certified)")
-    _fill_crown_fields(out, _product_crowns(factors, seed), lattice_limit)
+    out.d = min_generators(G, seed=seed, lattice_limit=lattice_limit)
+    _fill_crown_fields(out, crown_data(G, seed, lattice_limit))
     return out
 
 

@@ -80,10 +80,6 @@ class Lattice:
         self._moebius = None
         self._frattini = None
 
-    @property
-    def subgroup_count(self):
-        return sum(c.class_size for c in self.classes)
-
     # -- downstream data ----------------------------------------------------
 
     def maximal_classes(self):
@@ -193,11 +189,22 @@ class Lattice:
             self._moebius = mu
         return self._moebius
 
-    def eulerian(self, d):
-        """Number of generating d-tuples via Moebius inversion."""
+    def eulerian(self, d, normal_mask=None):
+        """Number of generating d-tuples via Moebius inversion.
+
+        Given the mask of a normal subgroup N, the sum runs only over the
+        H with HN = G, that is |H| |N| = |G| |H n N|; divided by |G|^d it
+        is then the supplement sum P_{G,N}(d), and N = G gives the whole
+        sum back."""
         mu = self.moebius()
+        n = self.table.n
+        if normal_mask is None:
+            normal_mask = self.whole.rep_mask
+        size = normal_mask.bit_count()
         return sum(c.class_size * mu[c.key] * c.order ** d
-                   for c in self.classes)
+                   for c in self.classes
+                   if c.order * size
+                   == n * (c.rep_mask & normal_mask).bit_count())
 
     def all_subgroup_masks(self):
         out = []

@@ -1,8 +1,9 @@
 """Generation probabilities, Eulerian counts and the random-generation
 threshold invariant.
 
-Exact counts go through Moebius inversion over the subgroup lattice (or
-brute force at very small sizes); probabilities are exact rationals.  The
+Exact counts go through Moebius inversion over the subgroup lattice of G
+at or below the lattice limit, and through the crown factorization of
+P_G(k) above it; probabilities are exact rationals.  The
 1/e threshold is compared against a rational enclosure of e tightened
 until the comparison is decisive, so no floating point enters the
 decision.
@@ -14,12 +15,9 @@ import math
 import random
 from fractions import Fraction
 
-from .bsgs import LimitExceeded
-from .group import generates, is_abelian
+from .group import generates
 from .lattice import DEFAULT_ORDER_LIMIT, subgroup_classes
-from .simptable import prime_factors
 
-BRUTE_TUPLE_BUDGET = 500_000
 MC_MEMO_BYTES = 16 * 2**20  # a tuple memo is kept only if every k-tuple fits
 MC_STREAMS = 4              # trials are split over this many seeded streams
 Z99 = 2.5758293035489004   # two-sided 99% normal quantile
@@ -51,43 +49,29 @@ class GenProbResult:
 
 
 def phi(G, d, lattice_limit=DEFAULT_ORDER_LIMIT):
-    """Exact number of generating ordered d-tuples."""
+    """Exact number of generating ordered d-tuples.
+
+    At or below the lattice limit this is Moebius inversion over the
+    subgroup lattice of G, sum over H of mu(H, G) |H|^d.  Above it, it is
+    P_G(d) |G|^d, with P_G(d) the product over the crowns of G of
+    Pi_{i<delta} f_i(d): f_i = 1 - z q^i / |A|^d for an abelian crown A
+    and f_i = P_{P,N}(d) - i a(P) / |N|^d for a non-abelian one with
+    primitive group P and socle N (Dalla Volta and Lucchini, J. Austral.
+    Math. Soc. 64 (1998); Detomi and Lucchini, J. Algebra 265 (2003);
+    see `invariants.CrownData`).  That route reads only the lattices of
+    the groups P, and refuses when one is above the lattice limit."""
     if d < 0:
         raise ValueError("tuple arity must be nonnegative")
     if d == 0:
         return 1 if G.order == 1 else 0
-    if d == 1:
-        # one element generates G exactly when G is cyclic, that is abelian
-        # with exponent |G| (for an abelian group, the lcm of the orders of
-        # its generators); a cyclic group of order n has Euler's totient
-        # of n elements of order n, and these are its generators
-        if is_abelian(G) and math.lcm(*[g.order() for g in G.generators]) \
-                == G.order:
-            return _totient(G.order)
-        return 0
     if G.order <= lattice_limit:
         return subgroup_classes(G, lattice_limit).eulerian(d)
-    if G.order ** d <= BRUTE_TUPLE_BUDGET:
-        return _phi_brute(G, d)
-    raise LimitExceeded(
-        f"phi needs a lattice (order <= {lattice_limit}) or "
-        f"|G|^d <= {BRUTE_TUPLE_BUDGET}")
-
-
-def _totient(n):
-    for p in prime_factors(n):
-        n = n // p * (p - 1)
-    return n
-
-
-def _phi_brute(G, d):
-    from itertools import product
-    els = G.elements(limit=BRUTE_TUPLE_BUDGET)
-    count = 0
-    for tup in product(els, repeat=d):
-        if generates(G, list(tup)):
-            count += 1
-    return count
+    # invariants imports constructions, which imports this module
+    from .invariants import crown_gen_prob
+    count = crown_gen_prob(G, d, lattice_limit=lattice_limit) * G.order ** d
+    if count.denominator != 1:
+        raise RuntimeError("crown factorization gave a fractional count")
+    return count.numerator
 
 
 def gen_prob(G, k, lattice_limit=DEFAULT_ORDER_LIMIT):

@@ -141,8 +141,9 @@ class FactorAction:
 
 # -- general small-group helpers ----------------------------------------------
 
-def _conjugacy_class_reps(G, budget=ELEMENT_BUDGET):
-    return _conjugation_orbit_reps(G.elements(limit=budget), G.generators)
+def _conjugacy_class_reps(G):
+    return _conjugation_orbit_reps(G.elements(limit=ELEMENT_BUDGET),
+                                   G.generators)
 
 
 def _conjugation_orbit_reps(els, gens):

@@ -22,6 +22,7 @@ from maxsub.modules import SectionSpace
 from maxsub.perms import Permutation
 from maxsub.simptable import prime_power_split
 from maxsub.structure import _matrix_actions, _vector_codes, _vectors
+from maxsub.tables import indices_of
 
 NAIVE_COMPLEMENT_BUDGET = 1 << 16
 
@@ -234,11 +235,9 @@ def f_of_d(L, N, d):
     generator count first exceeds d."""
     q = end_size(L, N)
     h1 = h1_size(L, N)
-    r = min_generators(L)
-    if not r.certified:
-        raise LimitExceeded("d(L) could not be certified")
-    if d < r.value:
-        raise ValueError(f"d must be at least d(L) = {r.value}")
+    dL = min_generators(L)
+    if d < dL:
+        raise ValueError(f"d must be at least d(L) = {dL}")
     num = N.order ** (d - 1)
     if num % h1:
         raise ValueError("|N|^(d-1) is not divisible by |H1|")
@@ -300,3 +299,36 @@ def abelian_crown_bound(n, d, q, h1, normal=False):
     if value > cap:
         raise RuntimeError("crown bound exceeded its stated cap")
     return value
+
+
+def subgroup_count(lat):
+    """Number of subgroups of a lattice: the sum of its class sizes."""
+    return sum(c.class_size for c in lat.classes)
+
+
+def orders_multiply(epi):
+    """|ker| |image| = |source| for an epimorphism."""
+    return epi.kernel.order * epi.target.order == epi.source.order
+
+
+def generating_tuple_count(lat, k):
+    """Number of k-tuples (k <= 3) of the lattice's group that lie in no
+    maximal subgroup, that is the generating k-tuples, counted over the
+    element-by-maximal incidence matrix; no Moebius function is used."""
+    n = lat.table.n
+    masks = [m for rec in lat.maximal_records()
+             for m in rec.class_ref.conjugate_masks]
+    inc = np.zeros((n, len(masks)), dtype=np.float32)
+    for j, m in enumerate(masks):
+        inc[indices_of(m, n), j] = 1
+    if k == 0:
+        return int(n == 1)
+    if k == 1:
+        return int((inc.sum(axis=1) == 0).sum())
+    firsts = [np.ones(len(masks), dtype=np.float32)] if k == 2 else inc
+    count = 0
+    for row in firsts:
+        sub = inc * row
+        # (b, c) lie in a common maximal with a exactly when this is > 0
+        count += int((sub @ sub.T == 0).sum())
+    return count

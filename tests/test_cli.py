@@ -128,21 +128,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in err
 
 
-def test_product_d_uncertified_uses_bracket_top(capsys, monkeypatch):
-    import maxsub.invariants
-    orig = maxsub.invariants.min_generators
-
-    def uncertified(G, *args, **kwargs):
-        if G.product_factors is None:
-            return orig(G, *args, **kwargs)
-        return maxsub.invariants.MinGenResult(3, 2, 3, False)
-
-    monkeypatch.setattr(maxsub.invariants, "min_generators", uncertified)
-    code, out, err = run_cli(capsys, "analyze", "dp:sym:3+sym:3+sym:3")
-    assert code == EXIT_OK
-    prof = json.loads(out)["profile"]
-    assert prof["d"] == 3
-    assert prof["skipped"]["d"].startswith("bracket [2, 3]")
+@pytest.mark.parametrize("argv", [
+    ["nu", "alt:5", "--mode", "mc", "--trials", "0"],
+    ["nu", "alt:5", "--mode", "mc", "--trials", "-5"],
+    ["bounds", "alt:5", "--indices", "1,5"],
+    ["bounds", "alt:5", "--indices", "x"],
+    ["analyze", "lk:sym:4,0"],
+    ["analyze", "hat:alt:5;0"],
+])
+def test_malformed_input_is_a_spec_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_REFUSED
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("spec error: ") and err.count("\n") == 1
 
 
 def test_command_leaves_no_cyclic_garbage(capsys):
@@ -152,25 +151,6 @@ def test_command_leaves_no_cyclic_garbage(capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_analyze_without_d_leaves_bounds_null(capsys, monkeypatch):
-    import maxsub.invariants
-
-    def no_tuple_found(G, *args, **kwargs):
-        return maxsub.invariants.MinGenResult(None, 2, None, False)
-
-    monkeypatch.setattr(maxsub.invariants, "min_generators", no_tuple_found)
-    code, out, err = run_cli(capsys, "analyze", "sym:4")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["profile"]["d"] is None
-    m_exact = payload["profile"]["m_exact"]
-    assert payload["bounds"]
-    for row in payload["bounds"]:
-        assert row["bound_mn"] is None and row["bound_lubotzky"] is None
-        assert row["m_exact"] == m_exact.get(str(row["n"]), 0)
-    assert payload["nu"]["notes"]["eta"] == "skipped: no certified d"
 
 
 def test_hat_census_obeys_lattice_limit(capsys):

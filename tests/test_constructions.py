@@ -86,8 +86,8 @@ def test_tower_f_consistency():
     L, N = s4_with_v4()
     t2 = build_Lk(L, N, 2)
     t3 = build_Lk(L, N, 3)
-    assert min_generators(t2.tower).value == 2
-    assert min_generators(t3.tower).value == 3
+    assert min_generators(t2.tower) == 2
+    assert min_generators(t3.tower) == 3
 
 
 def test_tower_degree_monotone():
@@ -95,9 +95,7 @@ def test_tower_degree_monotone():
     ds = []
     for k in (1, 2, 3, 4):
         t = build_Lk(L, N, k)
-        r = min_generators(t.tower)
-        assert r.certified
-        ds.append(r.value)
+        ds.append(min_generators(t.tower))
     for a, b in zip(ds, ds[1:]):
         assert a <= b <= a + 1
 

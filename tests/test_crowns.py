@@ -1,25 +1,31 @@
-"""The m_n map read off the crowns, against the subgroup lattice, the
-brute-force subgroup sweep and the pinned counts of groups above the
-lattice limit."""
+"""The m_n map, P_G(k) and d read off the crowns, against the subgroup
+lattice, the brute-force subgroup sweep, the generating-tuple count and the
+pinned values of groups above the lattice limit."""
 
+import json
+import sys
+from fractions import Fraction
 from math import factorial, prod
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import maxsub.group
+import maxsub.lattice
 from maxsub.bsgs import LimitExceeded
-from maxsub.cli import parse_spec
+from maxsub.cli import main, parse_spec
 from maxsub.group import direct_product, group_from_generators, normal_closure
-from maxsub.invariants import profile
-from maxsub.lattice import m_n_map
+from maxsub.invariants import crown_gen_prob, min_generators, profile
+from maxsub.lattice import DEFAULT_ORDER_LIMIT, m_n_map, subgroup_classes
 from maxsub.modules import cocycle_dim
 from maxsub.perms import Permutation
+from maxsub.probgen import gen_prob
 from maxsub.structure import crowns
 
-from oracles import (associated_primitive, naive_closure,
-                     naive_complement_solution_count, naive_maximals,
-                     naive_subgroups)
+from oracles import (associated_primitive, generating_tuple_count,
+                     naive_closure, naive_complement_solution_count,
+                     naive_maximals, naive_subgroups)
 
 LATTICE_SPECS = [
     "sym:3", "sym:4", "alt:4", "sym:5", "alt:5", "psl:2,7", "agl:1,8",
@@ -84,7 +90,64 @@ def test_pinned_crown_maps(spec, expect):
     prof = profile(parse_spec(spec).resolved)
     assert prof.m_exact == expect
     assert prof.min_index == min(expect)
-    assert "m_exact" not in prof.skipped and "script_M" not in prof.skipped
+    assert "skipped" not in prof.to_json()
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS)
+def test_crown_gen_prob_matches_lattice(spec):
+    G = parse_spec(spec).resolved
+    F = _flat(G)
+    lat = subgroup_classes(F)
+    for H in [G, F] if G.product_factors else [G]:
+        for k in (1, 2, 3):
+            assert crown_gen_prob(H, k) == \
+                Fraction(lat.eulerian(k), G.order ** k), (H.name, k)
+
+
+@pytest.mark.parametrize("spec", LATTICE_SPECS)
+def test_min_generators_matches_tuple_count(spec):
+    G = parse_spec(spec).resolved
+    F = _flat(G)
+    d = min_generators(G)
+    assert min_generators(F) == d
+    lat = subgroup_classes(F)
+    assert generating_tuple_count(lat, d - 1) == 0
+    assert generating_tuple_count(lat, d) > 0
+
+
+A5_X_A5 = "perm:10:(1,2,3,4,5);(1,2,3);(6,7,8,9,10);(6,7,8)"
+
+
+@pytest.mark.parametrize("spec, p2, nu", [
+    ("dp:alt:5+alt:5", Fraction(19, 50), 2),
+    (A5_X_A5, Fraction(19, 50), 2),
+    ("dp:alt:5+alt:5+alt:5", Fraction(323, 1500), 3),
+    ("hat:agl:1,8;2", Fraction(872001093663, 8796093022208), 3),
+])
+def test_gen_prob_and_nu_above_lattice_limit(capsys, spec, p2, nu):
+    G = parse_spec(spec).resolved
+    assert G.order > DEFAULT_ORDER_LIMIT
+    assert gen_prob(G, 2).exact == p2
+    assert main(["nu", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["nu"] == nu
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_tower_profile_builds_no_lattice_and_tests_no_tuple(monkeypatch, k):
+    # both towers are solvable, so no primitive group P has a lattice to
+    # build either; d comes from the crowns alone
+    G = parse_spec(f"lk:sym:4,{k}").resolved
+
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(maxsub.lattice, "_build_lattice", forbidden)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("maxsub")
+                and getattr(module, "generates", None)
+                is maxsub.group.generates):
+            monkeypatch.setattr(module, "generates", forbidden)
+    assert profile(G).d == 3
 
 
 def test_cocycles_refused_above_coset_limit():
@@ -140,3 +203,12 @@ def _small_product(draw):
 @given(_small_product())
 def test_product_crown_map_matches_brute_force(P):
     assert profile(P).m_exact == _brute_m_n(P)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_group())
+def test_crown_gen_prob_matches_tuple_count(G):
+    lat = subgroup_classes(G)
+    for k in (1, 2):
+        assert crown_gen_prob(G, k) * G.order ** k == \
+            generating_tuple_count(lat, k)

@@ -38,10 +38,10 @@ def test_profile_cyclic():
 
 
 def test_min_generators_basics():
-    assert min_generators(cyc(6)).value == 1
+    assert min_generators(cyc(6)) == 1
     P, _, _ = direct_product([cyc(2), cyc(2), cyc(2)])
-    assert min_generators(P).value == 3
-    assert min_generators(sym(4)).value == 2
+    assert min_generators(P) == 3
+    assert min_generators(sym(4)) == 2
 
 
 def test_min_generators_via_lattice_matches_bruteforce():
@@ -50,19 +50,17 @@ def test_min_generators_via_lattice_matches_bruteforce():
                          (lambda: builtin("sl:2,3"), 2),
                          (lambda: dih(6), 2),
                          (lambda: cyc(30), 1)]:
-        r = min_generators(make())
-        assert r.certified and r.value == expect
+        assert min_generators(make()) == expect
 
 
 def test_min_generators_two_nonabelian_generators():
-    # two non-commuting generators certify d = 2 at every seed; at seed 3
-    # the random pair search misses on this degree-128 group
+    # the crowns give d = 2 at every seed on this degree-128 group, where
+    # a search over 40 random pairs misses at seed 3
     from maxsub.constructions import hat
     H, _ = hat(builtin("agl:1,8"), 2)
     assert len(H.generators) == 2
     for seed in range(4):
-        r = min_generators(H, seed=seed)
-        assert r.certified and r.value == 2
+        assert min_generators(H, seed=seed) == 2
 
 
 def test_m_n_and_script_M():
@@ -98,7 +96,7 @@ def test_profile_product_a5_a5():
     assert p.lambda_ == 2
     # the crowns decide every m_n above the lattice limit
     assert p.m_exact == {5: 10, 6: 12, 10: 20, 60: 120}
-    assert p.skipped == {}
+    assert "skipped" not in p.to_json()
 
 
 def test_profile_product_a5_psl27():

@@ -51,8 +51,10 @@ DIGESTS = {
         0, "963fb273fd3ab8abfbeb20f026e774d2e26a949e0d8224c9cefce825a333a83b"),
     ('nu', 'agl:3,2'): (
         0, "34b7a6e69a884e8f16c8de68debd06d63c58980acf0b3454ba0eb700bbfa84eb"),
+    # "nu": 3, from the crown factorization of P_G(k): the order is above
+    # the lattice limit
     ('nu', 'hat:agl:1,8;2'): (
-        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        0, "24cba9eae59a18a923325c723074c5420fb9aeed1e352c5501240e299a5441b9"),
     ('nu', 'lk:sym:4,2'): (
         0, "747d99173ac20033ce47dd94a8be761282925a0ced3544fe7c4bbc54db5c5c8c"),
     ('nu', 'dp:sym:3+sym:3+sym:3'): (

@@ -36,17 +36,23 @@ def test_phi_one_by_theorem_above_lattice_limit():
     assert phi(sym(4), 1, lattice_limit=1) == 0
 
 
-def test_nu_a5_squared_refuses_without_generating_tests(capsys, monkeypatch):
-    # phi(A5 x A5, 1) = 0 by theorem; phi at k = 2 needs the lattice
+def test_nu_a5_squared_answers_without_generating_tests(capsys, monkeypatch):
+    # above the lattice limit, P_G(k) comes from the crowns of A5 x A5
+    import json
     import maxsub.probgen
-    from maxsub.cli import EXIT_REFUSED, main
+    from maxsub.cli import EXIT_OK, main
     calls = []
     monkeypatch.setattr(maxsub.probgen, "generates",
                         lambda G, perms: calls.append(perms))
-    assert main(["nu", "dp:alt:5+alt:5"]) == EXIT_REFUSED
-    assert capsys.readouterr().err == (
-        "refused: phi needs a lattice (order <= 2000) or |G|^d <= 500000\n")
+    assert main(["nu", "dp:alt:5+alt:5"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["nu"] == 2
     assert calls == []
+
+
+def test_nu_refuses_when_a_primitive_group_is_above_lattice_limit(capsys):
+    from maxsub.cli import EXIT_REFUSED, main
+    assert main(["--lattice-limit", "50", "nu", "alt:5"]) == EXIT_REFUSED
+    assert capsys.readouterr().err.startswith("refused: ")
 
 
 def test_phi_matches_brute_force_small():
